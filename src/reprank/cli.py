@@ -119,6 +119,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.graph == "-" and args.ranking == "-":
+        raise InputError("at most one of GRAPH and RANKING may be '-' (stdin)")
     graph = _load_graph(args.graph)
     ranking = parse_ranking(_read_text(args.ranking))
     axioms = _select_axioms(graph, args.axioms)

@@ -4,6 +4,10 @@ Given a current ranking, one support set dominates another when its members
 can cover the other set's members one-for-one at equal or better rank. The
 same combinatorics reads as "more important" for supporter sets and "more
 reliable" for accuser sets; only the interpretation changes.
+
+Sorted rank profiles of frozenset groups are memoised for one ranking at a
+time: the memo holds the most recent ranking only and starts afresh when a
+comparison arrives under a different one.
 """
 
 from __future__ import annotations
@@ -24,8 +28,26 @@ class Dominance(enum.Enum):
     STRICTLY_DOMINATED = "strictly_dominated"
 
 
+# (ranking, profiles of frozenset groups under it). Rankings are immutable,
+# so a profile stays valid while its ranking is current, and holding the
+# ranking keeps its identity from being reused. Profiles are never mutated.
+_memo: tuple[Ranking | None, dict[frozenset[str], list[int]]] = (None, {})
+
+
 def _sorted_ranks(ranking: Ranking, group: AbstractSet[str]) -> list[int]:
-    return sorted(ranking.rank_of(node) for node in group)
+    if not isinstance(group, frozenset):
+        return sorted(ranking.rank_of(node) for node in group)
+    global _memo
+    # Bind the pair once, so a concurrent reset cannot mix two rankings.
+    owner, profiles = _memo
+    if owner is not ranking:
+        profiles = {}
+        _memo = (ranking, profiles)
+    profile = profiles.get(group)
+    if profile is None:
+        profile = sorted(ranking.rank_of(node) for node in group)
+        profiles[group] = profile
+    return profile
 
 
 def at_least_as_strong(

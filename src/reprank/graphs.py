@@ -50,7 +50,14 @@ Edge = tuple[str, str, Feedback]
 
 
 def _valid_node_name(name: str) -> bool:
-    return bool(name) and name.isprintable() and not any(c.isspace() for c in name)
+    # '#' starts a comment in the edge-list format, so a name holding one
+    # could not be written back as text.
+    return (
+        bool(name)
+        and name.isprintable()
+        and "#" not in name
+        and not any(c.isspace() for c in name)
+    )
 
 
 class ReputationGraph:
@@ -201,7 +208,8 @@ def parse_graph(text: str) -> ReputationGraph:
 
     Format: a ``mode positive|negative|combined`` header, then one edge per
     line as ``SOURCE SIGN TARGET`` with sign ``+`` or ``-``. Isolated nodes
-    are declared as ``node NAME``. Blank lines and ``#`` comments are
+    are declared as ``node NAME``; a three-token line is always an edge, so
+    a node may itself be named ``node``. Blank lines and ``#`` comments are
     ignored. Edge endpoints are declared implicitly.
     """
     mode: Mode | None = None
@@ -221,16 +229,14 @@ def parse_graph(text: str) -> ReputationGraph:
             except KeyError:
                 raise ParseError(f"unknown mode {tokens[1]!r}", line_no) from None
             continue
-        if tokens[0] == "node":
-            if len(tokens) != 2:
-                raise ParseError("node declaration takes exactly one name", line_no)
+        if len(tokens) == 2 and tokens[0] == "node":
             name = tokens[1]
             if not _valid_node_name(name):
                 raise ParseError(f"invalid node name {name!r}", line_no)
             nodes.add(name)
             continue
         if len(tokens) != 3:
-            raise ParseError("expected 'SOURCE SIGN TARGET'", line_no)
+            raise ParseError("expected 'SOURCE SIGN TARGET' or 'node NAME'", line_no)
         src, sign, dst = tokens
         try:
             kind = _KINDS_BY_SIGN[sign]

@@ -203,10 +203,12 @@ def parse_ranking(text: str) -> Ranking:
         name, rank_text = tokens
         if name in ranks:
             raise ParseError(f"node {name!r} ranked twice", line_no)
-        try:
-            rank = int(rank_text)
-        except ValueError:
-            raise ParseError(f"rank {rank_text!r} is not an integer", line_no) from None
+        # int() would also accept signs, underscores and non-ASCII digits.
+        if not (rank_text.isascii() and rank_text.isdigit()):
+            raise ParseError(
+                f"rank {rank_text!r} must be written with ASCII digits 0-9", line_no
+            )
+        rank = int(rank_text)
         if rank < 1:
             raise ParseError(f"rank must be positive, got {rank}", line_no)
         ranks[name] = rank

@@ -162,6 +162,19 @@ def test_check_ranking_from_stdin(write_file, monkeypatch, capsys):
     assert main(["check", graph, "-", "--axioms", "T"]) == 0
 
 
+def test_check_refuses_stdin_for_both_inputs(monkeypatch, capsys):
+    class UnreadableStdin:
+        def read(self):
+            raise AssertionError("stdin must not be read")
+
+    monkeypatch.setattr("sys.stdin", UnreadableStdin())
+    assert main(["check", "-", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at most one" in captured.err and "'-'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # certify
 

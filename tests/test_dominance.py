@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    NEG,
+    POS,
     combined_graph,
     injection_exists,
+    random_graph,
     rank_profile,
     rankings,
 )
 from reprank import (
     Dominance,
+    Mode,
     Ranking,
     UnknownNodeError,
     at_least_as_strong,
@@ -24,6 +29,7 @@ from reprank import (
     equally_strong,
     is_refinement,
     more_important,
+    normalize,
     socially_stronger,
 )
 
@@ -199,3 +205,81 @@ def test_refinement_never_reverses_dominance():
                 continue
             for f in finer:
                 assert not more_important(f, b, a)
+
+
+# ---------------------------------------------------------------------------
+# memoised rank profiles versus sorting from scratch
+
+
+def _reference_relations(ranking, a, b):
+    pa, pb = rank_profile(ranking, a), rank_profile(ranking, b)
+    covers = len(pa) >= len(pb) and all(x <= y for x, y in zip(pa, pb))
+    return covers, pa == pb, covers and pa != pb
+
+
+def _relations(ranking, a, b):
+    return (
+        at_least_as_strong(ranking, a, b),
+        equally_strong(ranking, a, b),
+        more_important(ranking, a, b),
+    )
+
+
+def _random_ranking(rng, nodes):
+    return normalize({node: rng.randint(1, len(nodes)) for node in nodes})
+
+
+def test_memoised_profiles_match_sorting_from_scratch():
+    rng = random.Random(20120101)
+    nodes = tuple("abcdefg")
+    for _ in range(60):
+        groups = [
+            frozenset(rng.sample(nodes, rng.randint(0, 4))) for _ in range(8)
+        ]
+        # Two rankings over the same frozensets, interleaved, so the memo
+        # switches back and forth between them.
+        first = _random_ranking(rng, nodes)
+        second = _random_ranking(rng, nodes)
+        for _ in range(40):
+            r = rng.choice((first, second))
+            a, b = rng.choice(groups), rng.choice(groups)
+            expected = _reference_relations(r, a, b)
+            assert _relations(r, a, b) == expected
+            # A plain set takes the unmemoised path and must agree.
+            assert _relations(r, set(a), set(b)) == expected
+            assert _relations(r, a, set(b)) == expected
+
+
+def test_memoised_socially_stronger_matches_reference():
+    rng = random.Random(7)
+    for _ in range(30):
+        g = random_graph(rng, 6, 0.35, Mode.COMBINED)
+        rankings_pair = (
+            _random_ranking(rng, g.nodes),
+            _random_ranking(rng, g.nodes),
+        )
+        for _ in range(40):
+            r = rng.choice(rankings_pair)
+            u, v = rng.sample(g.nodes, 2)
+            good_u, good_v = (g.support_set(n, POS) for n in (u, v))
+            bad_u, bad_v = (g.support_set(n, NEG) for n in (u, v))
+            _, good_eq, good_strict = _reference_relations(r, good_u, good_v)
+            _, bad_eq, bad_strict = _reference_relations(r, bad_v, bad_u)
+            expected = (
+                (good_strict or good_eq)
+                and (bad_strict or bad_eq)
+                and (good_strict or bad_strict)
+            )
+            assert socially_stronger(r, g, u, v) == expected
+
+
+def test_unknown_member_of_frozenset_raises_on_every_call():
+    r = Ranking({"a": 1, "b": 2})
+    group = frozenset({"a", "zz"})
+    for _ in range(3):
+        with pytest.raises(UnknownNodeError):
+            more_important(r, group, frozenset({"b"}))
+        with pytest.raises(UnknownNodeError):
+            equally_strong(r, frozenset({"b"}), group)
+    # A valid group under the same ranking is unaffected.
+    assert more_important(r, frozenset({"a"}), frozenset({"b"}))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import NEG, POS, graphs, negative_graph, positive_graph
 from reprank import (
@@ -61,7 +62,7 @@ def test_combined_allows_both_kinds_on_same_pair():
 
 
 def test_invalid_node_names_rejected():
-    for bad in ("", "two words", "tab\tname"):
+    for bad in ("", "two words", "tab\tname", "a#b", "#"):
         with pytest.raises(ValueError):
             ReputationGraph([bad], [], Mode.POSITIVE_ONLY)
 
@@ -242,6 +243,16 @@ def test_parse_duplicate_edge_rejected():
 def test_parse_malformed_edge_line():
     with pytest.raises(ParseError, match="line 2"):
         parse_graph("mode positive\na + b extra\n")
+    with pytest.raises(ParseError, match="line 2"):
+        parse_graph("mode positive\nnode\n")
+    with pytest.raises(ParseError, match="line 2.*unknown sign"):
+        parse_graph("mode positive\nnode a b\n")
+
+
+def test_parse_node_named_node():
+    g = parse_graph("mode positive\nnode + x\nmode + node\nnode node\n")
+    assert g.nodes == ("mode", "node", "x")
+    assert g.edges == frozenset({("node", "x", POS), ("mode", "node", POS)})
 
 
 # ---------------------------------------------------------------------------
@@ -260,4 +271,41 @@ def test_serialize_lists_isolated_nodes_and_sorted_edges():
 @PROPERTY_SETTINGS
 @given(graphs())
 def test_serialize_round_trip(g):
+    assert parse_graph(g.serialize()) == g
+
+
+# Names that collide with the format's own words, plus arbitrary printable
+# text without whitespace or '#'.
+node_names = st.one_of(
+    st.sampled_from(["node", "mode", "+", "-", "positive"]),
+    st.text(
+        alphabet=st.characters(
+            blacklist_categories=("Z", "C"), blacklist_characters="#"
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
+
+@st.composite
+def named_graphs(draw):
+    mode = draw(st.sampled_from(list(Mode)))
+    names = draw(st.lists(node_names, min_size=1, max_size=5, unique=True))
+    kinds = sorted(mode.allowed_kinds, key=lambda k: k.value)
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(names), st.sampled_from(names), st.sampled_from(kinds)
+            ).filter(lambda e: e[0] != e[1]),
+            max_size=8,
+            unique=True,
+        )
+    )
+    return ReputationGraph(names, edges, mode)
+
+
+@PROPERTY_SETTINGS
+@given(named_graphs())
+def test_serialize_round_trip_with_arbitrary_names(g):
     assert parse_graph(g.serialize()) == g

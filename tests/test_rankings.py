@@ -227,6 +227,17 @@ def test_parse_ranking_errors():
         parse_ranking("a 1\nb\n")
 
 
+@pytest.mark.parametrize("rank_text", ["\u0661", "+1", "1_0", "-1", "1.0", "\uff11"])
+def test_parse_ranking_accepts_ascii_digits_only(rank_text):
+    # int() parses all of these but "1.0"; the format admits none of them.
+    with pytest.raises(ParseError, match="line 2: rank .*ASCII digits"):
+        parse_ranking(f"a 1\nb {rank_text}\n")
+
+
+def test_parse_ranking_accepts_leading_zeros():
+    assert parse_ranking("a 01\nb 002\n") == Ranking({"a": 1, "b": 2})
+
+
 def test_serialize_is_lexicographic():
     r = Ranking({"b": 1, "a": 2, "c": 1})
     assert r.serialize() == "a 2\nb 1\nc 1\n"
