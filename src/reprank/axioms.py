@@ -9,10 +9,11 @@ human-readable reason that can be re-verified.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
-from typing import AbstractSet, Callable
+from typing import Callable, Sequence
 
-from . import dominance
+from .dominance import Profile, _profiles, _social, _strictly_covers
 from .errors import ModeError, NodeSetMismatchError
 from .graphs import Feedback, Mode, ReputationGraph
 from .rankings import Ranking
@@ -75,30 +76,25 @@ class AxiomReport:
         return f"{self.axiom.value} fail [witness: ({w.vi},{w.vj}) {w.reason}]"
 
 
-def _exists_strict_pair(
-    ranking: Ranking, above: AbstractSet[str], below: AbstractSet[str]
-) -> bool:
-    if not above or not below:
-        return False
-    return min(ranking.rank_of(a) for a in above) < max(
-        ranking.rank_of(b) for b in below
-    )
+# Clauses read node ranks and their sorted rank profiles on the compared
+# sides, indexed alike: the graph's single polarity, or supporters and accusers.
+Side = Sequence[Profile]
 
 
-def _violates_t(g: ReputationGraph, r: Ranking, vi: str, vj: str) -> str | None:
-    ri, rj = g.support_set(vi), g.support_set(vj)
-    if dominance.more_important(r, ri, rj) and r.rank_of(vi) >= r.rank_of(vj):
+def _exists_strict_pair(above: Profile, below: Profile) -> bool:
+    return bool(above) and bool(below) and above[0] < below[-1]
+
+
+def _violates_t(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> str | None:
+    if _strictly_covers(p[i], p[j]) and rank[i] >= rank[j]:
         return "supporters dominate but the node is not ranked strictly higher"
     return None
 
 
-def _violates_m(g: ReputationGraph, r: Ranking, vi: str, vj: str) -> str | None:
-    if r.rank_of(vi) >= r.rank_of(vj):
+def _violates_m(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> str | None:
+    if rank[i] >= rank[j]:
         return None
-    ri, rj = g.support_set(vi), g.support_set(vj)
-    if dominance.more_important(r, ri, rj):
-        return None
-    if _exists_strict_pair(r, ri, rj):
+    if _strictly_covers(p[i], p[j]) or _exists_strict_pair(p[i], p[j]):
         return None
     return (
         "ranked strictly higher without supporter dominance and no supporter "
@@ -106,29 +102,25 @@ def _violates_m(g: ReputationGraph, r: Ranking, vi: str, vj: str) -> str | None:
     )
 
 
-def _violates_vwm(g: ReputationGraph, r: Ranking, vi: str, vj: str) -> str | None:
-    if len(g.support_set(vi)) > len(g.support_set(vj)) + 1:
+def _violates_vwm(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> str | None:
+    if len(p[i]) > len(p[j]) + 1:
         return None
-    reason = _violates_m(g, r, vi, vj)
+    reason = _violates_m(rank, p, _, i, j)
     if reason is None:
         return None
     return "support sizes within one apart and " + reason
 
 
-def _violates_bt(g: ReputationGraph, r: Ranking, vi: str, vj: str) -> str | None:
-    ri, rj = g.support_set(vi), g.support_set(vj)
-    if dominance.more_important(r, ri, rj) and r.rank_of(vi) <= r.rank_of(vj):
+def _violates_bt(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> str | None:
+    if _strictly_covers(p[i], p[j]) and rank[i] <= rank[j]:
         return "accusers dominate but the node is not ranked strictly lower"
     return None
 
 
-def _violates_bm(g: ReputationGraph, r: Ranking, vi: str, vj: str) -> str | None:
-    if r.rank_of(vi) <= r.rank_of(vj):
+def _violates_bm(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> str | None:
+    if rank[i] <= rank[j]:
         return None
-    ri, rj = g.support_set(vi), g.support_set(vj)
-    if dominance.more_important(r, ri, rj):
-        return None
-    if _exists_strict_pair(r, ri, rj):
+    if _strictly_covers(p[i], p[j]) or _exists_strict_pair(p[i], p[j]):
         return None
     return (
         "ranked strictly lower without accuser dominance and no accuser "
@@ -136,24 +128,18 @@ def _violates_bm(g: ReputationGraph, r: Ranking, vi: str, vj: str) -> str | None
     )
 
 
-def _violates_tc(g: ReputationGraph, r: Ranking, vi: str, vj: str) -> str | None:
-    if dominance.socially_stronger(r, g, vi, vj) and r.rank_of(vi) >= r.rank_of(vj):
+def _violates_tc(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> str | None:
+    if _social(good[i], bad[i], good[j], bad[j]) and rank[i] >= rank[j]:
         return "socially stronger but the node is not ranked strictly higher"
     return None
 
 
-def _violates_mc(g: ReputationGraph, r: Ranking, vi: str, vj: str) -> str | None:
-    if r.rank_of(vi) >= r.rank_of(vj):
+def _violates_mc(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> str | None:
+    if rank[i] >= rank[j]:
         return None
-    if dominance.socially_stronger(r, g, vi, vj):
+    if _social(good[i], bad[i], good[j], bad[j]):
         return None
-    good_i = g.support_set(vi, Feedback.POSITIVE)
-    good_j = g.support_set(vj, Feedback.POSITIVE)
-    if _exists_strict_pair(r, good_i, good_j):
-        return None
-    bad_i = g.support_set(vi, Feedback.NEGATIVE)
-    bad_j = g.support_set(vj, Feedback.NEGATIVE)
-    if _exists_strict_pair(r, bad_j, bad_i):
+    if _exists_strict_pair(good[i], good[j]) or _exists_strict_pair(bad[j], bad[i]):
         return None
     return (
         "ranked strictly higher without being socially stronger and with "
@@ -161,7 +147,7 @@ def _violates_mc(g: ReputationGraph, r: Ranking, vi: str, vj: str) -> str | None
     )
 
 
-PairCheck = Callable[[ReputationGraph, Ranking, str, str], "str | None"]
+PairCheck = Callable[[Sequence[int], Side, Side, int, int], "str | None"]
 
 _PAIR_CHECKS: dict[Axiom, PairCheck] = {
     Axiom.T: _violates_t,
@@ -174,11 +160,23 @@ _PAIR_CHECKS: dict[Axiom, PairCheck] = {
 }
 
 
+def _snapshot(
+    graph: ReputationGraph, rank: Callable[[str], int], axiom: Axiom, nodes: Sequence[str]
+) -> tuple[list[int], Side, Side]:
+    """Ranks of ``nodes`` and their profiles on the two sides the axiom compares."""
+    if axiom in (Axiom.TC, Axiom.MC):
+        kinds: tuple[Feedback | None, ...] = (Feedback.POSITIVE, Feedback.NEGATIVE)
+    else:
+        kinds = (graph.mode.single_kind,)
+    sides = [_profiles(rank, [graph.support_set(v, k) for v in nodes]) for k in kinds]
+    return [rank(v) for v in nodes], sides[0], sides[-1]
+
+
 def pair_violates(
     graph: ReputationGraph, ranking: Ranking, axiom: Axiom, vi: str, vj: str
 ) -> str | None:
     """Reason the ordered pair (vi, vj) violates the axiom, or None."""
-    return _PAIR_CHECKS[axiom](graph, ranking, vi, vj)
+    return _PAIR_CHECKS[axiom](*_snapshot(graph, ranking.rank_of, axiom, (vi, vj)), 0, 1)
 
 
 def _require_compatible(
@@ -195,14 +193,13 @@ def _require_compatible(
 def check(graph: ReputationGraph, ranking: Ranking, axiom: Axiom) -> AxiomReport:
     """Evaluate one axiom over all ordered pairs of distinct nodes."""
     _require_compatible(graph, ranking, axiom)
+    nodes = graph.nodes
+    rank, p, q = _snapshot(graph, ranking.as_dict().__getitem__, axiom, nodes)
     clause = _PAIR_CHECKS[axiom]
-    for vi in graph.nodes:
-        for vj in graph.nodes:
-            if vi == vj:
-                continue
-            reason = clause(graph, ranking, vi, vj)
-            if reason is not None:
-                return AxiomReport(axiom, False, Witness(vi, vj, reason))
+    for i, j in itertools.permutations(range(len(nodes)), 2):
+        reason = clause(rank, p, q, i, j)
+        if reason is not None:
+            return AxiomReport(axiom, False, Witness(nodes[i], nodes[j], reason))
     return AxiomReport(axiom, True)
 
 

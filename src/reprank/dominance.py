@@ -5,18 +5,24 @@ can cover the other set's members one-for-one at equal or better rank. The
 same combinatorics reads as "more important" for supporter sets and "more
 reliable" for accuser sets; only the interpretation changes.
 
-Sorted rank profiles of frozenset groups are memoised for one ranking at a
-time: the memo holds the most recent ranking only and starts afresh when a
-comparison arrives under a different one.
+Every relation is decided on sorted rank profiles, a group's member ranks
+as an ascending int tuple, by ``_covers``, ``_strictly_covers`` and
+``_social``. The public functions below are thin wrappers that build the
+profiles from node sets; the engines compare agents through them. The axiom
+checker, which compares every ordered pair, builds each node's profiles
+once per ranking and calls the primitives directly.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import AbstractSet
+from operator import le
+from typing import AbstractSet, Callable, Iterable
 
 from .graphs import Feedback, ReputationGraph
 from .rankings import Ranking
+
+Profile = tuple[int, ...]
 
 
 class Dominance(enum.Enum):
@@ -28,26 +34,29 @@ class Dominance(enum.Enum):
     STRICTLY_DOMINATED = "strictly_dominated"
 
 
-# (ranking, profiles of frozenset groups under it). Rankings are immutable,
-# so a profile stays valid while its ranking is current, and holding the
-# ranking keeps its identity from being reused. Profiles are never mutated.
-_memo: tuple[Ranking | None, dict[frozenset[str], list[int]]] = (None, {})
+def _profiles(
+    rank: Callable[[object], int], groups: Iterable[Iterable[object]]
+) -> list[Profile]:
+    """Sorted rank profile of each group, with ``rank`` giving a member's rank."""
+    return [tuple(sorted(map(rank, group))) for group in groups]
 
 
-def _sorted_ranks(ranking: Ranking, group: AbstractSet[str]) -> list[int]:
-    if not isinstance(group, frozenset):
-        return sorted(ranking.rank_of(node) for node in group)
-    global _memo
-    # Bind the pair once, so a concurrent reset cannot mix two rankings.
-    owner, profiles = _memo
-    if owner is not ranking:
-        profiles = {}
-        _memo = (ranking, profiles)
-    profile = profiles.get(group)
-    if profile is None:
-        profile = sorted(ranking.rank_of(node) for node in group)
-        profiles[group] = profile
-    return profile
+def _covers(a: Profile, b: Profile) -> bool:
+    """Profile A covers B: see ``at_least_as_strong``."""
+    return len(a) >= len(b) and all(map(le, a, b))
+
+
+def _strictly_covers(a: Profile, b: Profile) -> bool:
+    return a != b and _covers(a, b)
+
+
+def _social(good_u: Profile, bad_u: Profile, good_v: Profile, bad_v: Profile) -> bool:
+    """u's supporters cover v's, v's accusers cover u's, and one side differs."""
+    return (
+        (good_u != good_v or bad_u != bad_v)
+        and _covers(good_u, good_v)
+        and _covers(bad_v, bad_u)
+    )
 
 
 def at_least_as_strong(
@@ -60,41 +69,33 @@ def at_least_as_strong(
     strongest of B to the i-th strongest of A is optimal, so this is
     equivalent to searching all injections.
     """
-    ranks_a = _sorted_ranks(ranking, a)
-    ranks_b = _sorted_ranks(ranking, b)
-    if len(ranks_a) < len(ranks_b):
-        return False
-    return all(ra <= rb for ra, rb in zip(ranks_a, ranks_b))
+    return _covers(*_profiles(ranking.rank_of, (a, b)))
 
 
 def equally_strong(
     ranking: Ranking, a: AbstractSet[str], b: AbstractSet[str]
 ) -> bool:
     """True iff a rank-preserving bijection A <-> B exists (equal rank multisets)."""
-    return _sorted_ranks(ranking, a) == _sorted_ranks(ranking, b)
+    profile_a, profile_b = _profiles(ranking.rank_of, (a, b))
+    return profile_a == profile_b
 
 
 def more_important(
     ranking: Ranking, a: AbstractSet[str], b: AbstractSet[str]
 ) -> bool:
     """True iff A covers B injectively and strictly outranks it overall."""
-    ranks_a = _sorted_ranks(ranking, a)
-    ranks_b = _sorted_ranks(ranking, b)
-    if len(ranks_a) < len(ranks_b):
-        return False
-    if not all(ra <= rb for ra, rb in zip(ranks_a, ranks_b)):
-        return False
-    return ranks_a != ranks_b
+    return _strictly_covers(*_profiles(ranking.rank_of, (a, b)))
 
 
 def classify(
     ranking: Ranking, a: AbstractSet[str], b: AbstractSet[str]
 ) -> Dominance:
-    if equally_strong(ranking, a, b):
+    profile_a, profile_b = _profiles(ranking.rank_of, (a, b))
+    if profile_a == profile_b:
         return Dominance.EQUALLY_STRONG
-    if more_important(ranking, a, b):
+    if _covers(profile_a, profile_b):
         return Dominance.STRICTLY_DOMINATES
-    if more_important(ranking, b, a):
+    if _covers(profile_b, profile_a):
         return Dominance.STRICTLY_DOMINATED
     return Dominance.INCOMPARABLE
 
@@ -108,10 +109,8 @@ def socially_stronger(
     equal to v's, u's supporters are more important than or equal to v's,
     and at least one of the two comparisons is strict.
     """
-    good_u = graph.support_set(u, Feedback.POSITIVE)
-    good_v = graph.support_set(v, Feedback.POSITIVE)
-    bad_u = graph.support_set(u, Feedback.NEGATIVE)
-    bad_v = graph.support_set(v, Feedback.NEGATIVE)
+    good_u, good_v = (graph.support_set(n, Feedback.POSITIVE) for n in (u, v))
+    bad_u, bad_v = (graph.support_set(n, Feedback.NEGATIVE) for n in (u, v))
     bad_strict = more_important(ranking, bad_v, bad_u)
     bad_ok = bad_strict or equally_strong(ranking, bad_u, bad_v)
     good_strict = more_important(ranking, good_u, good_v)

@@ -9,15 +9,12 @@ increases the number of levels, so at most |V| - 1 iterations run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 from . import dominance
 from .errors import ModeError
 from .graphs import Feedback, Mode, ReputationGraph
 from .rankings import Ranking, normalize
-
-StrongerFn = Callable[[Ranking, str, str], bool]
-SameFn = Callable[[Ranking, str, str], bool]
 
 
 @dataclass(frozen=True)
@@ -49,63 +46,94 @@ class RefinementTrace:
         return (self.initial,) + tuple(step.ranking for step in self.steps)
 
 
-def _pick_split(
-    ranking: Ranking, stronger: StrongerFn
-) -> tuple[str, str] | None:
-    """Lex-smallest eligible agent and its lex-smallest dominated levelmate.
-
-    An agent is eligible when it dominates some levelmate and no levelmate
-    dominates it back; domination is transitive, so whenever any same-level
-    pair violates, an eligible agent exists.
-    """
-    for vi in sorted(ranking.nodes):
-        mates = [n for n in ranking.levels[ranking.rank_of(vi) - 1] if n != vi]
-        witnesses = [vj for vj in mates if stronger(ranking, vi, vj)]
-        if not witnesses:
-            continue
-        if any(stronger(ranking, vs, vi) for vs in mates):
-            continue
-        return vi, min(witnesses)
-    return None
-
-
 def _refine(
+    graph: ReputationGraph,
     initial: Ranking,
-    stronger: StrongerFn,
-    same: SameFn,
+    kinds: tuple[Feedback, ...],
     direction: Literal["above", "below"],
 ) -> tuple[Ranking, RefinementTrace]:
+    """Split levels of ``initial`` until no levelmate dominates another.
+
+    ``kinds`` names the backers: the graph's one polarity, compared with
+    ``more_important``, or supporters and accusers, compared with
+    ``socially_stronger``. An agent is eligible when it dominates a
+    levelmate and no levelmate dominates it; one exists whenever any
+    levelmate dominates another. Each step splits the level of the
+    lex-smallest eligible agent at its lex-smallest dominated levelmate.
+    Nodes are indices in name order, so these are the smallest indices.
+
+    A split keeps all other ranks in order, so a comparison can change only
+    if the backers it reads have ranks in both new levels. Cached results
+    therefore survive a split unless they involve a dependent of the smaller
+    side: a node backed from there.
+    """
+    names = graph.nodes
+    n = len(names)
+    index = {v: i for i, v in enumerate(names)}
+    dependents: list[set[int]] = [set() for _ in range(n)]
+    for src, dst, _ in graph.edges:
+        dependents[index[src]].add(index[dst])
+    sides = [{v: graph.support_set(v, kind) for v in names} for kind in kinds]
+    good, bad = sides if len(sides) == 2 else (sides[0], None)
+    levels = [[index[v] for v in level] for level in initial.levels]
+    known: dict[int, bool] = {}  # u * n + v -> u dominates v under current
     current = initial
+
+    def stronger(u: str, v: str) -> bool:
+        if bad is None:
+            return dominance.more_important(current, good[u], good[v])
+        # A group covers only groups no larger than itself, under any ranking.
+        if len(good[u]) < len(good[v]) or len(bad[v]) < len(bad[u]):
+            return False
+        return dominance.socially_stronger(current, graph, u, v)
+
+    def same(u: str, v: str) -> bool:
+        return all(dominance.equally_strong(current, side[u], side[v]) for side in sides)
+
+    def beats(u: int, v: int) -> bool:
+        key = u * n + v
+        result = known.get(key)
+        if result is None:
+            result = known[key] = stronger(names[u], names[v])
+        return result
+
+    def scan(level: list[int]) -> tuple[int, int] | None:
+        for vi in level:
+            witness = next((vj for vj in level if vj != vi and beats(vi, vj)), None)
+            if witness is not None and not any(
+                beats(vs, vi) for vs in level if vs != vi
+            ):
+                return vi, witness
+        return None
+
     steps: list[TraceStep] = []
     while True:
-        picked = _pick_split(current, stronger)
-        if picked is None:
+        picked = [s for s in map(scan, levels) if s is not None]
+        if not picked:
             break
-        if len(steps) >= len(current) - 1:
+        if len(steps) >= n - 1:
             raise RuntimeError("refinement exceeded the |V| - 1 iteration bound")
-        chosen, witness = picked
-        level = current.levels[current.rank_of(chosen) - 1]
-        moved = tuple(
-            n for n in level if n == chosen or same(current, chosen, n)
-        )
-        left_behind = tuple(n for n in level if n not in set(moved))
-        split = (
-            (moved, left_behind) if direction == "above" else (left_behind, moved)
-        )
-        new_levels: list[tuple[str, ...]] = []
-        for lvl in current.levels:
-            if chosen in lvl:
-                new_levels.extend(split)
-            else:
-                new_levels.append(lvl)
-        current = Ranking.from_levels(new_levels)
+        chosen, witness = min(picked)
+        k = current.rank_of(names[chosen]) - 1
+        tied = levels[k]
+        moved = [v for v in tied if v == chosen or same(names[chosen], names[v])]
+        left_behind = [v for v in tied if v not in moved]
+        split = [moved, left_behind] if direction == "above" else [left_behind, moved]
+        levels[k : k + 1] = split
+        current = Ranking.from_levels([names[v] for v in level] for level in levels)
+        smaller = moved if len(moved) <= len(left_behind) else left_behind
+        touched = {d for s in smaller for d in dependents[s]}
+        for d in touched:
+            for x in levels[current.rank_of(names[d]) - 1]:
+                known.pop(d * n + x, None)
+                known.pop(x * n + d, None)
         steps.append(
             TraceStep(
                 index=len(steps) + 1,
-                chosen=chosen,
-                witness=witness,
-                moved=moved,
-                left_behind=left_behind,
+                chosen=names[chosen],
+                witness=names[witness],
+                moved=tuple(names[v] for v in moved),
+                left_behind=tuple(names[v] for v in left_behind),
                 direction=direction,
                 ranking=current,
             )
@@ -121,16 +149,8 @@ def rank_positive(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     """
     if graph.mode is not Mode.POSITIVE_ONLY:
         raise ModeError("rank_positive needs a positive-only graph")
-    supporters = {v: graph.support_set(v, Feedback.POSITIVE) for v in graph.nodes}
-    initial = normalize({v: -len(supporters[v]) for v in graph.nodes})
-
-    def stronger(r: Ranking, u: str, v: str) -> bool:
-        return dominance.more_important(r, supporters[u], supporters[v])
-
-    def same(r: Ranking, u: str, v: str) -> bool:
-        return dominance.equally_strong(r, supporters[u], supporters[v])
-
-    return _refine(initial, stronger, same, "above")
+    initial = normalize({v: -len(graph.support_set(v)) for v in graph.nodes})
+    return _refine(graph, initial, (Feedback.POSITIVE,), "above")
 
 
 def rank_negative(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
@@ -142,16 +162,8 @@ def rank_negative(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     """
     if graph.mode is not Mode.NEGATIVE_ONLY:
         raise ModeError("rank_negative needs a negative-only graph")
-    accusers = {v: graph.support_set(v, Feedback.NEGATIVE) for v in graph.nodes}
-    initial = normalize({v: len(accusers[v]) for v in graph.nodes})
-
-    def stronger(r: Ranking, u: str, v: str) -> bool:
-        return dominance.more_important(r, accusers[u], accusers[v])
-
-    def same(r: Ranking, u: str, v: str) -> bool:
-        return dominance.equally_strong(r, accusers[u], accusers[v])
-
-    return _refine(initial, stronger, same, "below")
+    initial = normalize({v: len(graph.support_set(v)) for v in graph.nodes})
+    return _refine(graph, initial, (Feedback.NEGATIVE,), "below")
 
 
 def rank_combined(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
@@ -163,19 +175,8 @@ def rank_combined(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     """
     if graph.mode is not Mode.COMBINED:
         raise ModeError("rank_combined needs a combined-mode graph")
-    good = {v: graph.support_set(v, Feedback.POSITIVE) for v in graph.nodes}
-    bad = {v: graph.support_set(v, Feedback.NEGATIVE) for v in graph.nodes}
     initial = Ranking({v: 1 for v in graph.nodes})
-
-    def stronger(r: Ranking, u: str, v: str) -> bool:
-        return dominance.socially_stronger(r, graph, u, v)
-
-    def same(r: Ranking, u: str, v: str) -> bool:
-        return dominance.equally_strong(r, good[u], good[v]) and dominance.equally_strong(
-            r, bad[u], bad[v]
-        )
-
-    return _refine(initial, stronger, same, "above")
+    return _refine(graph, initial, (Feedback.POSITIVE, Feedback.NEGATIVE), "above")
 
 
 _ENGINES = {

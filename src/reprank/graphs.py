@@ -50,14 +50,9 @@ Edge = tuple[str, str, Feedback]
 
 
 def _valid_node_name(name: str) -> bool:
-    # '#' starts a comment in the edge-list format, so a name holding one
-    # could not be written back as text.
-    return (
-        bool(name)
-        and name.isprintable()
-        and "#" not in name
-        and not any(c.isspace() for c in name)
-    )
+    # One non-empty whitespace-free token; '#' starts a comment in both text
+    # formats, so a name holding one could not be written back as text.
+    return name.split() == [name] and name.isprintable() and "#" not in name
 
 
 class ReputationGraph:

@@ -17,6 +17,7 @@ from .errors import (
     ParseError,
     UnknownNodeError,
 )
+from .graphs import _valid_node_name
 
 DEFAULT_ENUMERATION_CAP = 8
 
@@ -33,7 +34,8 @@ class Ranking:
     """Immutable total preorder over a node set, stored as dense ranks.
 
     The used rank values are exactly 1..k for some k, and a smaller rank
-    means a more important agent.
+    means a more important agent. Node names obey the graph's name rule, so
+    ``parse_ranking(r.serialize()) == r`` holds for every ranking.
     """
 
     __slots__ = ("_ranks", "_levels")
@@ -42,6 +44,8 @@ class Ranking:
         if not ranks:
             raise ValueError("a ranking needs at least one node")
         for node, rank in ranks.items():
+            if not _valid_node_name(node):
+                raise ValueError(f"invalid node name: {node!r}")
             if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
                 raise ValueError(f"rank of {node!r} must be a positive integer")
         used = set(ranks.values())
@@ -201,6 +205,8 @@ def parse_ranking(text: str) -> Ranking:
         if len(tokens) != 2:
             raise ParseError("expected 'NAME RANK'", line_no)
         name, rank_text = tokens
+        if not _valid_node_name(name):
+            raise ParseError(f"invalid node name {name!r}", line_no)
         if name in ranks:
             raise ParseError(f"node {name!r} ranked twice", line_no)
         # int() would also accept signs, underscores and non-ASCII digits.

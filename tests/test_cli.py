@@ -10,9 +10,13 @@ import random
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reprank
 from conftest import random_graph
@@ -320,3 +324,65 @@ def test_console_script_target_runs_like_its_wrapper(write_file):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "a 3\nb 2\nc 1\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: generated graph and ranking text through every subcommand
+
+pool_names = st.sampled_from(["a", "b", "c", "d", "node", "mode", "+"])
+short_text = st.text(max_size=3)
+junk_lines = st.one_of(st.text(max_size=8), st.builds("{} {}".format, short_text, short_text))
+MODE_SIGNS = {"positive": "+", "negative": "-", "combined": "+-"}
+
+
+@st.composite
+def cli_inputs(draw):
+    """Graph and ranking text: mostly well formed, with junk lines mixed in."""
+    mode = draw(st.sampled_from(sorted(MODE_SIGNS)))
+    headers = [f"mode {mode}"] * 8 + ["mode", "mode other", "a + b"]
+    lines = [draw(st.sampled_from(headers))]
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.integers(0, 9))
+        src, dst = draw(pool_names), draw(pool_names)
+        if kind == 0:  # possibly a self-loop or a sign the mode forbids
+            lines.append(f"{src} {draw(st.sampled_from('+-*'))} {dst}")
+        elif kind < 7:
+            edge = f"{src} {draw(st.sampled_from(MODE_SIGNS[mode]))} {dst}"
+            if src != dst and edge not in lines:
+                lines.append(edge)
+        elif kind < 9:
+            lines.append(f"node {src}")
+        else:
+            lines.append(draw(junk_lines))
+    tokens = [line.split() for line in lines[1:]]
+    names = {t[-1] for t in tokens if t} | {t[0] for t in tokens if len(t) == 3}
+    ranks = [f"{v} {draw(st.integers(1, 2))}" for v in sorted(names)]
+    if draw(st.integers(0, 4)) == 0:
+        ranks.append(draw(junk_lines))
+    return "\n".join(lines) + "\n", "\n".join(ranks) + "\n"
+
+
+CHECK_OPTIONS = [[], [], ["--axioms", "T,BT,Tc"], ["--axioms", "M"], ["--axioms", ","]]
+CERTIFY_OPTIONS = [["--cap", "5"], ["--cap", "0"], ["--cap", "4", "--axioms", "Mc"]]
+fuzz_commands = st.one_of(
+    st.tuples(st.just("rank"), st.sampled_from([[], ["--trace"]])),
+    st.tuples(st.just("check"), st.sampled_from(CHECK_OPTIONS)),
+    st.tuples(st.just("certify"), st.sampled_from(CERTIFY_OPTIONS)),
+    st.tuples(st.just("complement"), st.just([])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_inputs(), fuzz_commands, st.sampled_from(["text", "json"]))
+def test_cli_fuzz_exits_cleanly(texts, command, fmt):
+    graph_text, ranking_text = texts
+    name, options = command
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp, "graph")
+        graph.write_text(graph_text, encoding="utf-8")
+        ranking = Path(tmp, "ranking")
+        ranking.write_text(ranking_text, encoding="utf-8")
+        files = [str(graph), str(ranking)] if name == "check" else [str(graph)]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main([name, *files, *options, "--format", fmt])
+    assert code in (0, 1, 2)

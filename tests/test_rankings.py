@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import preorder_count, rankings
 from reprank import (
@@ -246,4 +247,38 @@ def test_serialize_is_lexicographic():
 @PROPERTY_SETTINGS
 @given(rankings())
 def test_ranking_round_trip(r):
+    assert parse_ranking(r.serialize()) == r
+
+
+@pytest.mark.parametrize("name", ["a#b", "#", "two words", "", "x\n", "tab\there", "\x00"])
+def test_ranking_rejects_names_that_cannot_round_trip(name):
+    with pytest.raises(ValueError, match="invalid node name"):
+        Ranking({name: 1, "c": 2})
+    with pytest.raises(ValueError, match="invalid node name"):
+        Ranking.from_levels([[name], ["c"]])
+
+
+def test_parse_ranking_rejects_unprintable_names_with_line_number():
+    with pytest.raises(ParseError, match="line 2: invalid node name"):
+        parse_ranking("a 1\nb\x00 2\n")
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.dictionaries(
+        st.one_of(st.sampled_from(["node", "mode", "1", "a#", " "]), st.text(max_size=4)),
+        st.integers(min_value=1, max_value=3),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_every_constructible_ranking_round_trips(raw):
+    # Arbitrary text names: the constructor either refuses the ranking or
+    # builds one whose serialization parses back to it.
+    distinct = sorted(set(raw.values()))
+    dense = {value: pos for pos, value in enumerate(distinct, start=1)}
+    try:
+        r = Ranking({name: dense[value] for name, value in raw.items()})
+    except ValueError:
+        return
     assert parse_ranking(r.serialize()) == r
