@@ -22,9 +22,7 @@ from .certify import (
     count_satisfying,
 )
 from .dominance import (
-    Dominance,
     at_least_as_strong,
-    classify,
     equally_strong,
     more_important,
     socially_stronger,
@@ -48,9 +46,7 @@ from .errors import (
 from .graphs import Feedback, Mode, ReputationGraph, parse_graph
 from .rankings import (
     DEFAULT_ENUMERATION_CAP,
-    Comparison,
     Ranking,
-    compare,
     enumerate_preorders,
     is_refinement,
     normalize,
@@ -65,9 +61,7 @@ __all__ = [
     "AxiomReport",
     "Certificate",
     "CertificateStatus",
-    "Comparison",
     "DEFAULT_ENUMERATION_CAP",
-    "Dominance",
     "EnumerationCapError",
     "Feedback",
     "InputError",
@@ -86,8 +80,6 @@ __all__ = [
     "certify_vwm_strongly_connected",
     "check",
     "check_all",
-    "classify",
-    "compare",
     "count_satisfying",
     "enumerate_preorders",
     "equally_strong",

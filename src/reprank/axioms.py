@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .dominance import Profile, _profiles, _social, _strictly_covers
 from .errors import ModeError, NodeSetMismatchError
@@ -78,6 +78,8 @@ class AxiomReport:
 
 # Clauses read node ranks and their sorted rank profiles on the compared
 # sides, indexed alike: the graph's single polarity, or supporters and accusers.
+# On a negative graph the node ranks are negated and the profiles are not, so
+# BT and BM are T and M with "ranked higher" read as "ranked lower".
 Side = Sequence[Profile]
 
 
@@ -85,121 +87,113 @@ def _exists_strict_pair(above: Profile, below: Profile) -> bool:
     return bool(above) and bool(below) and above[0] < below[-1]
 
 
-def _violates_t(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> str | None:
-    if _strictly_covers(p[i], p[j]) and rank[i] >= rank[j]:
-        return "supporters dominate but the node is not ranked strictly higher"
-    return None
+def _violates_t(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> bool:
+    return _strictly_covers(p[i], p[j]) and rank[i] >= rank[j]
 
 
-def _violates_m(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> str | None:
-    if rank[i] >= rank[j]:
-        return None
-    if _strictly_covers(p[i], p[j]) or _exists_strict_pair(p[i], p[j]):
-        return None
+def _violates_m(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> bool:
     return (
-        "ranked strictly higher without supporter dominance and no supporter "
-        "outranks any supporter of the lower node"
+        rank[i] < rank[j]
+        and not _strictly_covers(p[i], p[j])
+        and not _exists_strict_pair(p[i], p[j])
     )
 
 
-def _violates_vwm(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> str | None:
-    if len(p[i]) > len(p[j]) + 1:
-        return None
-    reason = _violates_m(rank, p, _, i, j)
-    if reason is None:
-        return None
-    return "support sizes within one apart and " + reason
+def _violates_vwm(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> bool:
+    return len(p[i]) <= len(p[j]) + 1 and _violates_m(rank, p, _, i, j)
 
 
-def _violates_bt(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> str | None:
-    if _strictly_covers(p[i], p[j]) and rank[i] <= rank[j]:
-        return "accusers dominate but the node is not ranked strictly lower"
-    return None
+def _violates_tc(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> bool:
+    return _social(good[i], bad[i], good[j], bad[j]) and rank[i] >= rank[j]
 
 
-def _violates_bm(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> str | None:
-    if rank[i] <= rank[j]:
-        return None
-    if _strictly_covers(p[i], p[j]) or _exists_strict_pair(p[i], p[j]):
-        return None
+def _violates_mc(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> bool:
     return (
-        "ranked strictly lower without accuser dominance and no accuser "
-        "outranks any accuser of the higher node"
+        rank[i] < rank[j]
+        and not _social(good[i], bad[i], good[j], bad[j])
+        and not _exists_strict_pair(good[i], good[j])
+        and not _exists_strict_pair(bad[j], bad[i])
     )
 
 
-def _violates_tc(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> str | None:
-    if _social(good[i], bad[i], good[j], bad[j]) and rank[i] >= rank[j]:
-        return "socially stronger but the node is not ranked strictly higher"
-    return None
-
-
-def _violates_mc(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> str | None:
-    if rank[i] >= rank[j]:
-        return None
-    if _social(good[i], bad[i], good[j], bad[j]):
-        return None
-    if _exists_strict_pair(good[i], good[j]) or _exists_strict_pair(bad[j], bad[i]):
-        return None
-    return (
-        "ranked strictly higher without being socially stronger and with "
-        "neither a supporter-side nor an accuser-side witness"
-    )
-
-
-PairCheck = Callable[[Sequence[int], Side, Side, int, int], "str | None"]
+PairCheck = Callable[[Sequence[int], Side, Side, int, int], bool]
 
 _PAIR_CHECKS: dict[Axiom, PairCheck] = {
     Axiom.T: _violates_t,
     Axiom.M: _violates_m,
     Axiom.VWM: _violates_vwm,
-    Axiom.BT: _violates_bt,
-    Axiom.BM: _violates_bm,
+    Axiom.BT: _violates_t,
+    Axiom.BM: _violates_m,
     Axiom.TC: _violates_tc,
     Axiom.MC: _violates_mc,
 }
 
+_REASONS: dict[Axiom, str] = {
+    Axiom.T: "supporters dominate but the node is not ranked strictly higher",
+    Axiom.M: (
+        "ranked strictly higher without supporter dominance and no supporter "
+        "outranks any supporter of the lower node"
+    ),
+    Axiom.BT: "accusers dominate but the node is not ranked strictly lower",
+    Axiom.BM: (
+        "ranked strictly lower without accuser dominance and no accuser "
+        "outranks any accuser of the higher node"
+    ),
+    Axiom.TC: "socially stronger but the node is not ranked strictly higher",
+    Axiom.MC: (
+        "ranked strictly higher without being socially stronger and with "
+        "neither a supporter-side nor an accuser-side witness"
+    ),
+}
+_REASONS[Axiom.VWM] = "support sizes within one apart and " + _REASONS[Axiom.M]
+
+
+def _applicable(mode: Mode, axioms: Iterable[Axiom]) -> tuple[Axiom, ...]:
+    """The requested axioms in the mode's fixed order; ModeError names the
+    first one, in the order given, that does not apply to the mode."""
+    allowed = AXIOMS_BY_MODE[mode]
+    wanted = tuple(axioms)
+    for axiom in wanted:
+        if axiom not in allowed:
+            raise ModeError(f"axiom {axiom.value} does not apply to {mode.value} graphs")
+    return tuple(a for a in allowed if a in wanted)
+
 
 def _snapshot(
-    graph: ReputationGraph, rank: Callable[[str], int], axiom: Axiom, nodes: Sequence[str]
+    graph: ReputationGraph, rank: Callable[[str], int], nodes: Sequence[str]
 ) -> tuple[list[int], Side, Side]:
-    """Ranks of ``nodes`` and their profiles on the two sides the axiom compares."""
-    if axiom in (Axiom.TC, Axiom.MC):
-        kinds: tuple[Feedback | None, ...] = (Feedback.POSITIVE, Feedback.NEGATIVE)
-    else:
-        kinds = (graph.mode.single_kind,)
+    """Ranks of ``nodes``, negated on a negative graph, and their profiles on
+    the compared sides."""
+    kind = graph.mode.single_kind
+    kinds = (Feedback.POSITIVE, Feedback.NEGATIVE) if kind is None else (kind,)
     sides = [_profiles(rank, [graph.support_set(v, k) for v in nodes]) for k in kinds]
-    return [rank(v) for v in nodes], sides[0], sides[-1]
+    sign = -1 if kind is Feedback.NEGATIVE else 1
+    return [sign * rank(v) for v in nodes], sides[0], sides[-1]
 
 
 def pair_violates(
     graph: ReputationGraph, ranking: Ranking, axiom: Axiom, vi: str, vj: str
 ) -> str | None:
     """Reason the ordered pair (vi, vj) violates the axiom, or None."""
-    return _PAIR_CHECKS[axiom](*_snapshot(graph, ranking.rank_of, axiom, (vi, vj)), 0, 1)
-
-
-def _require_compatible(
-    graph: ReputationGraph, ranking: Ranking, axiom: Axiom
-) -> None:
-    if axiom not in AXIOMS_BY_MODE[graph.mode]:
-        raise ModeError(
-            f"axiom {axiom.value} does not apply to {graph.mode.value} graphs"
-        )
-    if set(ranking.nodes) != set(graph.nodes):
-        raise NodeSetMismatchError("ranking does not cover exactly the graph's nodes")
+    _applicable(graph.mode, (axiom,))
+    if _PAIR_CHECKS[axiom](*_snapshot(graph, ranking.rank_of, (vi, vj)), 0, 1):
+        return _REASONS[axiom]
+    return None
 
 
 def check(graph: ReputationGraph, ranking: Ranking, axiom: Axiom) -> AxiomReport:
     """Evaluate one axiom over all ordered pairs of distinct nodes."""
-    _require_compatible(graph, ranking, axiom)
+    # The O(1) test first: certify calls check once per preorder and axiom.
+    if axiom not in AXIOMS_BY_MODE[graph.mode]:
+        _applicable(graph.mode, (axiom,))
+    if set(ranking.nodes) != set(graph.nodes):
+        raise NodeSetMismatchError("ranking does not cover exactly the graph's nodes")
     nodes = graph.nodes
-    rank, p, q = _snapshot(graph, ranking.as_dict().__getitem__, axiom, nodes)
+    rank, p, q = _snapshot(graph, ranking.as_dict().__getitem__, nodes)
     clause = _PAIR_CHECKS[axiom]
     for i, j in itertools.permutations(range(len(nodes)), 2):
-        reason = clause(rank, p, q, i, j)
-        if reason is not None:
-            return AxiomReport(axiom, False, Witness(nodes[i], nodes[j], reason))
+        if clause(rank, p, q, i, j):
+            return AxiomReport(axiom, False, Witness(nodes[i], nodes[j], _REASONS[axiom]))
     return AxiomReport(axiom, True)
 
 

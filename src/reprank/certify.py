@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from .axioms import AXIOMS_BY_MODE, Axiom, check
+from .axioms import Axiom, _applicable, check
 from .errors import InputError, ModeError
 from .graphs import Mode, ReputationGraph
 from .rankings import DEFAULT_ENUMERATION_CAP, Ranking, enumerate_preorders
@@ -41,20 +41,6 @@ class Certificate:
         return "SAT:\n" + self.witness.serialize().rstrip("\n")
 
 
-def _validated_axioms(
-    graph: ReputationGraph, axioms: Iterable[Axiom]
-) -> tuple[Axiom, ...]:
-    wanted = set(axioms)
-    allowed = AXIOMS_BY_MODE[graph.mode]
-    for axiom in wanted:
-        if axiom not in allowed:
-            raise ModeError(
-                f"axiom {axiom.value} does not apply to {graph.mode.value} graphs"
-            )
-    # Fixed evaluation order keeps runs reproducible.
-    return tuple(a for a in allowed if a in wanted)
-
-
 def _satisfies(graph: ReputationGraph, ranking: Ranking, axioms: tuple[Axiom, ...]) -> bool:
     return all(check(graph, ranking, axiom).passed for axiom in axioms)
 
@@ -65,7 +51,7 @@ def certify(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Certificate:
     """First satisfying preorder, or UNSAT after scanning all of them."""
-    ordered_axioms = _validated_axioms(graph, axioms)
+    ordered_axioms = _applicable(graph.mode, axioms)
     examined = 0
     for ranking in enumerate_preorders(graph.nodes, cap=cap):
         examined += 1
@@ -80,7 +66,7 @@ def count_satisfying(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> int:
     """How many total preorders satisfy the whole axiom set."""
-    ordered_axioms = _validated_axioms(graph, axioms)
+    ordered_axioms = _applicable(graph.mode, axioms)
     return sum(
         1
         for ranking in enumerate_preorders(graph.nodes, cap=cap)

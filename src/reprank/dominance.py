@@ -15,7 +15,6 @@ once per ranking and calls the primitives directly.
 
 from __future__ import annotations
 
-import enum
 from operator import le
 from typing import AbstractSet, Callable, Iterable
 
@@ -23,15 +22,6 @@ from .graphs import Feedback, ReputationGraph
 from .rankings import Ranking
 
 Profile = tuple[int, ...]
-
-
-class Dominance(enum.Enum):
-    """Relative strength of set A against set B under a ranking."""
-
-    STRICTLY_DOMINATES = "strictly_dominates"
-    EQUALLY_STRONG = "equally_strong"
-    INCOMPARABLE = "incomparable"
-    STRICTLY_DOMINATED = "strictly_dominated"
 
 
 def _profiles(
@@ -85,19 +75,6 @@ def more_important(
 ) -> bool:
     """True iff A covers B injectively and strictly outranks it overall."""
     return _strictly_covers(*_profiles(ranking.rank_of, (a, b)))
-
-
-def classify(
-    ranking: Ranking, a: AbstractSet[str], b: AbstractSet[str]
-) -> Dominance:
-    profile_a, profile_b = _profiles(ranking.rank_of, (a, b))
-    if profile_a == profile_b:
-        return Dominance.EQUALLY_STRONG
-    if _covers(profile_a, profile_b):
-        return Dominance.STRICTLY_DOMINATES
-    if _covers(profile_b, profile_a):
-        return Dominance.STRICTLY_DOMINATED
-    return Dominance.INCOMPARABLE
 
 
 def socially_stronger(

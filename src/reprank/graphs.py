@@ -9,7 +9,7 @@ polarities its edges may use.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ModeError, ParseError, UnknownNodeError
 
@@ -30,33 +30,48 @@ class Mode(enum.Enum):
 
     @property
     def allowed_kinds(self) -> frozenset[Feedback]:
-        if self is Mode.POSITIVE_ONLY:
-            return frozenset({Feedback.POSITIVE})
-        if self is Mode.NEGATIVE_ONLY:
-            return frozenset({Feedback.NEGATIVE})
-        return frozenset({Feedback.POSITIVE, Feedback.NEGATIVE})
+        return _KINDS_BY_MODE[self]
 
     @property
     def single_kind(self) -> Feedback | None:
         """The unique edge kind of a single-polarity mode, else None."""
-        if self is Mode.POSITIVE_ONLY:
-            return Feedback.POSITIVE
-        if self is Mode.NEGATIVE_ONLY:
-            return Feedback.NEGATIVE
-        return None
+        kinds = _KINDS_BY_MODE[self]
+        return next(iter(kinds)) if len(kinds) == 1 else None
 
+
+_KINDS_BY_MODE = {
+    Mode.POSITIVE_ONLY: frozenset({Feedback.POSITIVE}),
+    Mode.NEGATIVE_ONLY: frozenset({Feedback.NEGATIVE}),
+    Mode.COMBINED: frozenset(Feedback),
+}
 
 Edge = tuple[str, str, Feedback]
 
 
-def _valid_node_name(name: str) -> bool:
+def _check_name(name: str) -> None:
     # One non-empty whitespace-free token; '#' starts a comment in both text
     # formats, so a name holding one could not be written back as text.
-    return name.split() == [name] and name.isprintable() and "#" not in name
+    if not (name.split() == [name] and name.isprintable() and "#" not in name):
+        raise ValueError(f"invalid node name {name!r}")
+
+
+def _check_edge(edge: Edge, mode: Mode, seen: set[Edge]) -> None:
+    """Reject an edge with a bad name, a self-loop, a sign the mode forbids,
+    or one already in ``seen``; otherwise add it there."""
+    src, dst, kind = edge
+    _check_name(src)
+    _check_name(dst)
+    if src == dst:
+        raise ValueError(f"self-loop on {src!r}")
+    if kind not in mode.allowed_kinds:
+        raise ModeError(f"{kind.value!r} edge not allowed in {mode.value} mode")
+    if edge in seen:
+        raise ValueError(f"duplicate edge {src} {kind.value} {dst}")
+    seen.add(edge)
 
 
 class ReputationGraph:
-    """Immutable directed feedback graph without self-loops.
+    """Immutable directed feedback graph with at least one node and no self-loops.
 
     Node names are compared lexicographically; that order is the sole
     tie-breaking authority used by everything built on top of the graph.
@@ -67,22 +82,17 @@ class ReputationGraph:
     def __init__(self, nodes: Iterable[str], edges: Iterable[Edge], mode: Mode):
         node_list = list(nodes)
         node_set = set(node_list)
+        if not node_set:
+            raise ValueError("graph has no nodes")
         if len(node_set) != len(node_list):
             raise ValueError("duplicate node names")
         for name in node_list:
-            if not _valid_node_name(name):
-                raise ValueError(f"invalid node name: {name!r}")
-        edge_list = list(edges)
-        edge_set = set(edge_list)
-        if len(edge_set) != len(edge_list):
-            raise ValueError("duplicate feedback edge")
-        for src, dst, kind in edge_list:
-            if src == dst:
-                raise ValueError(f"self-loop on {src!r}")
+            _check_name(name)
+        edge_set: set[Edge] = set()
+        for src, dst, kind in edges:
+            _check_edge((src, dst, kind), mode, edge_set)
             if src not in node_set or dst not in node_set:
                 raise UnknownNodeError(f"edge {src!r} -> {dst!r} uses an undeclared node")
-            if kind not in mode.allowed_kinds:
-                raise ModeError(f"{kind.value!r} edge not allowed in {mode.value} mode")
         object.__setattr__(self, "nodes", tuple(sorted(node_set)))
         object.__setattr__(self, "edges", frozenset(edge_set))
         object.__setattr__(self, "mode", mode)
@@ -136,9 +146,6 @@ class ReputationGraph:
         except KeyError:
             raise UnknownNodeError(f"unknown node: {node!r}") from None
 
-    def has_edge(self, src: str, dst: str, kind: Feedback) -> bool:
-        return (src, dst, kind) in self.edges
-
     def complement(self) -> "ReputationGraph":
         """Negative-feedback graph accusing every agent one did not support.
 
@@ -159,8 +166,6 @@ class ReputationGraph:
 
     def is_strongly_connected(self) -> bool:
         """True iff a directed path joins every ordered node pair (kinds ignored)."""
-        if not self.nodes:
-            raise ValueError("connectivity is undefined for the empty graph")
         forward: dict[str, list[str]] = {n: [] for n in self.nodes}
         backward: dict[str, list[str]] = {n: [] for n in self.nodes}
         for src, dst, _ in self.edges:
@@ -209,8 +214,7 @@ def parse_graph(text: str) -> ReputationGraph:
     """
     mode: Mode | None = None
     nodes: set[str] = set()
-    edges: list[Edge] = []
-    seen_edges: set[Edge] = set()
+    edges: set[Edge] = set()
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -226,8 +230,10 @@ def parse_graph(text: str) -> ReputationGraph:
             continue
         if len(tokens) == 2 and tokens[0] == "node":
             name = tokens[1]
-            if not _valid_node_name(name):
-                raise ParseError(f"invalid node name {name!r}", line_no)
+            try:
+                _check_name(name)
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no) from None
             nodes.add(name)
             continue
         if len(tokens) != 3:
@@ -237,29 +243,15 @@ def parse_graph(text: str) -> ReputationGraph:
             kind = _KINDS_BY_SIGN[sign]
         except KeyError:
             raise ParseError(f"unknown sign {sign!r} (use + or -)", line_no) from None
-        for name in (src, dst):
-            if not _valid_node_name(name):
-                raise ParseError(f"invalid node name {name!r}", line_no)
-        if src == dst:
-            raise ParseError(f"self-loop on {src!r}", line_no)
-        if kind not in mode.allowed_kinds:
-            raise ParseError(
-                f"{sign!r} edge not allowed in {mode.value} mode", line_no
-            )
-        edge = (src, dst, kind)
-        if edge in seen_edges:
-            raise ParseError(f"duplicate edge {src} {sign} {dst}", line_no)
-        seen_edges.add(edge)
-        edges.append(edge)
+        try:
+            _check_edge((src, dst, kind), mode, edges)
+        except (ValueError, ModeError) as exc:
+            raise ParseError(str(exc), line_no) from None
         nodes.add(src)
         nodes.add(dst)
     if mode is None:
         raise ParseError("missing 'mode' header")
-    return ReputationGraph(nodes, edges, mode)
-
-
-def edge_pairs(graph: ReputationGraph, kind: Feedback) -> Iterator[tuple[str, str]]:
-    """All (source, target) pairs of the given kind, in lexicographic order."""
-    return iter(
-        sorted((src, dst) for src, dst, k in graph.edges if k is kind)
-    )
+    try:
+        return ReputationGraph(nodes, edges, mode)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None

@@ -7,7 +7,6 @@ node set are enumerated as ordered set partitions.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from typing import Iterable, Iterator, Mapping
 
@@ -17,17 +16,9 @@ from .errors import (
     ParseError,
     UnknownNodeError,
 )
-from .graphs import _valid_node_name
+from .graphs import _check_name
 
 DEFAULT_ENUMERATION_CAP = 8
-
-
-class Comparison(enum.Enum):
-    """How one agent stands relative to another in a ranking."""
-
-    HIGHER = "higher"
-    EQUAL = "equal"
-    LOWER = "lower"
 
 
 class Ranking:
@@ -44,8 +35,7 @@ class Ranking:
         if not ranks:
             raise ValueError("a ranking needs at least one node")
         for node, rank in ranks.items():
-            if not _valid_node_name(node):
-                raise ValueError(f"invalid node name: {node!r}")
+            _check_name(node)
             if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
                 raise ValueError(f"rank of {node!r} must be a positive integer")
         used = set(ranks.values())
@@ -98,9 +88,6 @@ class Ranking:
     def as_dict(self) -> dict[str, int]:
         return dict(self._ranks)
 
-    def __contains__(self, node: str) -> bool:
-        return node in self._ranks
-
     def __len__(self) -> int:
         return len(self._ranks)
 
@@ -119,16 +106,6 @@ class Ranking:
     def serialize(self) -> str:
         """One ``NAME RANK`` line per node, in lexicographic node order."""
         return "".join(f"{node} {self._ranks[node]}\n" for node in self.nodes)
-
-
-def compare(ranking: Ranking, u: str, v: str) -> Comparison:
-    """Standing of u relative to v: smaller rank means Higher."""
-    ru, rv = ranking.rank_of(u), ranking.rank_of(v)
-    if ru < rv:
-        return Comparison.HIGHER
-    if ru > rv:
-        return Comparison.LOWER
-    return Comparison.EQUAL
 
 
 def normalize(raw: Mapping[str, int]) -> Ranking:
@@ -205,8 +182,10 @@ def parse_ranking(text: str) -> Ranking:
         if len(tokens) != 2:
             raise ParseError("expected 'NAME RANK'", line_no)
         name, rank_text = tokens
-        if not _valid_node_name(name):
-            raise ParseError(f"invalid node name {name!r}", line_no)
+        try:
+            _check_name(name)
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
         if name in ranks:
             raise ParseError(f"node {name!r} ranked twice", line_no)
         # int() would also accept signs, underscores and non-ASCII digits.

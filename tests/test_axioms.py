@@ -204,6 +204,8 @@ def test_axiom_mode_mismatch():
     g = positive_graph([("a", "b")])
     with pytest.raises(ModeError):
         check(g, Ranking({"a": 1, "b": 2}), Axiom.BT)
+    with pytest.raises(ModeError):
+        pair_violates(g, Ranking({"a": 1, "b": 2}), Axiom.BT, "a", "b")
 
 
 def test_node_set_mismatch():

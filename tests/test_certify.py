@@ -83,6 +83,14 @@ def test_combined_embedding_unsat(triangle_with_supporter):
 def test_axioms_must_match_mode(triangle_with_supporter):
     with pytest.raises(ModeError):
         certify(triangle_with_supporter, {Axiom.BT})
+    # The error names the first inapplicable axiom in the order given, so it
+    # does not depend on set iteration order.
+    for first, second in ((Axiom.BT, Axiom.BM), (Axiom.BM, Axiom.BT)):
+        message = f"axiom {first.value} does not apply to positive graphs"
+        with pytest.raises(ModeError, match=message):
+            certify(triangle_with_supporter, (Axiom.T, first, second))
+        with pytest.raises(ModeError, match=message):
+            count_satisfying(triangle_with_supporter, (first, Axiom.M, second))
 
 
 def test_cap_is_enforced():

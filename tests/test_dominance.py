@@ -19,12 +19,10 @@ from conftest import (
     rankings,
 )
 from reprank import (
-    Dominance,
     Mode,
     Ranking,
     UnknownNodeError,
     at_least_as_strong,
-    classify,
     enumerate_preorders,
     equally_strong,
     is_refinement,
@@ -60,6 +58,11 @@ def test_lower_singleton_does_not_dominate():
     r = Ranking({"p": 1, "q": 2})
     assert not at_least_as_strong(r, {"q"}, {"p"})
     assert at_least_as_strong(r, {"p"}, {"q"})
+    # ranks {1,3} vs {2,2}: each side wins one position, so no injection
+    # works in either direction.
+    r2 = Ranking({"a": 1, "b": 3, "c": 2, "d": 2})
+    assert not at_least_as_strong(r2, {"a", "b"}, {"c", "d"})
+    assert not at_least_as_strong(r2, {"c", "d"}, {"a", "b"})
 
 
 def test_more_important_examples():
@@ -82,18 +85,6 @@ def test_unknown_member_raises():
     r = Ranking({"a": 1})
     with pytest.raises(UnknownNodeError):
         at_least_as_strong(r, {"zz"}, set())
-
-
-def test_classify_verdicts():
-    r = Ranking({"a": 1, "b": 2, "c": 1})
-    assert classify(r, {"a"}, {"b"}) is Dominance.STRICTLY_DOMINATES
-    assert classify(r, {"b"}, {"a"}) is Dominance.STRICTLY_DOMINATED
-    assert classify(r, {"a"}, {"c"}) is Dominance.EQUALLY_STRONG
-    assert classify(r, {"a", "b"}, {"c"}) is Dominance.STRICTLY_DOMINATES
-    # ranks {1,3} vs {2,2}: each side wins one position, so no injection
-    # works in either direction.
-    r2 = Ranking({"a": 1, "b": 3, "c": 2, "d": 2})
-    assert classify(r2, {"a", "b"}, {"c", "d"}) is Dominance.INCOMPARABLE
 
 
 # ---------------------------------------------------------------------------

@@ -182,9 +182,9 @@ def test_single_node_is_strongly_connected():
 
 
 def test_strong_connectivity_undefined_on_empty_graph():
-    g = ReputationGraph([], [], Mode.POSITIVE_ONLY)
-    with pytest.raises(ValueError):
-        g.is_strongly_connected()
+    # Connectivity of the empty graph is undefined; the constructor rejects it.
+    with pytest.raises(ValueError, match="graph has no nodes"):
+        ReputationGraph([], [], Mode.POSITIVE_ONLY)
 
 
 # ---------------------------------------------------------------------------

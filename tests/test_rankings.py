@@ -1,4 +1,4 @@
-"""Rankings: validation, comparison, refinement, enumeration, parsing."""
+"""Rankings: validation, refinement, enumeration, parsing."""
 
 from __future__ import annotations
 
@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import preorder_count, rankings
 from reprank import (
-    Comparison,
     EnumerationCapError,
     NodeSetMismatchError,
     ParseError,
     Ranking,
     UnknownNodeError,
-    compare,
     enumerate_preorders,
     is_refinement,
     normalize,
@@ -70,23 +68,6 @@ def test_ranking_immutable_and_hashable():
 def test_rank_of_unknown_node():
     with pytest.raises(UnknownNodeError):
         Ranking({"a": 1}).rank_of("b")
-
-
-# ---------------------------------------------------------------------------
-# compare
-
-
-def test_compare_higher_equal_lower():
-    r = Ranking({"a": 1, "b": 2})
-    assert compare(r, "a", "b") is Comparison.HIGHER
-    assert compare(r, "b", "a") is Comparison.LOWER
-    r2 = Ranking({"a": 1, "b": 1})
-    assert compare(r2, "a", "b") is Comparison.EQUAL
-
-
-def test_compare_three_level():
-    r = Ranking({"a": 3, "b": 1, "c": 2})
-    assert compare(r, "a", "b") is Comparison.LOWER
 
 
 # ---------------------------------------------------------------------------
