@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .dominance import Profile, _profiles, _social, _strictly_covers
-from .errors import ModeError, NodeSetMismatchError
-from .graphs import Feedback, Mode, ReputationGraph
+from .errors import ModeError, NodeSetMismatchError, UnknownNodeError
+from .graphs import Mode, ReputationGraph
 from .rankings import Ranking
 
 
@@ -160,15 +160,14 @@ def _applicable(mode: Mode, axioms: Iterable[Axiom]) -> tuple[Axiom, ...]:
 
 
 def _snapshot(
-    graph: ReputationGraph, rank: Callable[[str], int], nodes: Sequence[str]
+    graph: ReputationGraph, rank: Callable[[str], int], positions: Sequence[int]
 ) -> tuple[list[int], Side, Side]:
-    """Ranks of ``nodes``, negated on a negative graph, and their profiles on
-    the compared sides."""
-    kind = graph.mode.single_kind
-    kinds = (Feedback.POSITIVE, Feedback.NEGATIVE) if kind is None else (kind,)
-    sides = [_profiles(rank, [graph.support_set(v, k) for v in nodes]) for k in kinds]
-    sign = -1 if kind is Feedback.NEGATIVE else 1
-    return [sign * rank(v) for v in nodes], sides[0], sides[-1]
+    """Ranks of the nodes at ``positions``, negated on a negative graph, and
+    their profiles on the graph's sides."""
+    backers = [graph._incoming[kind] for kind in graph._sides]
+    sides = [_profiles(rank, [side[i] for i in positions]) for side in backers]
+    sign = -1 if graph.mode is Mode.NEGATIVE_ONLY else 1
+    return [sign * rank(graph.nodes[i]) for i in positions], sides[0], sides[-1]
 
 
 def pair_violates(
@@ -176,7 +175,11 @@ def pair_violates(
 ) -> str | None:
     """Reason the ordered pair (vi, vj) violates the axiom, or None."""
     _applicable(graph.mode, (axiom,))
-    if _PAIR_CHECKS[axiom](*_snapshot(graph, ranking.rank_of, (vi, vj)), 0, 1):
+    try:
+        pair = [graph._index[v] for v in (vi, vj)]
+    except KeyError as exc:
+        raise UnknownNodeError(f"unknown node: {exc.args[0]!r}") from None
+    if _PAIR_CHECKS[axiom](*_snapshot(graph, ranking.rank_of, pair), 0, 1):
         return _REASONS[axiom]
     return None
 
@@ -186,10 +189,11 @@ def check(graph: ReputationGraph, ranking: Ranking, axiom: Axiom) -> AxiomReport
     # The O(1) test first: certify calls check once per preorder and axiom.
     if axiom not in AXIOMS_BY_MODE[graph.mode]:
         _applicable(graph.mode, (axiom,))
-    if set(ranking.nodes) != set(graph.nodes):
+    ranks = ranking.as_dict()
+    if ranks.keys() != graph._index.keys():
         raise NodeSetMismatchError("ranking does not cover exactly the graph's nodes")
     nodes = graph.nodes
-    rank, p, q = _snapshot(graph, ranking.as_dict().__getitem__, nodes)
+    rank, p, q = _snapshot(graph, ranks.__getitem__, range(len(nodes)))
     clause = _PAIR_CHECKS[axiom]
     for i, j in itertools.permutations(range(len(nodes)), 2):
         if clause(rank, p, q, i, j):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .axioms import Axiom, _applicable, check
 from .errors import InputError, ModeError
@@ -41,8 +41,14 @@ class Certificate:
         return "SAT:\n" + self.witness.serialize().rstrip("\n")
 
 
-def _satisfies(graph: ReputationGraph, ranking: Ranking, axioms: tuple[Axiom, ...]) -> bool:
-    return all(check(graph, ranking, axiom).passed for axiom in axioms)
+def _scan(
+    graph: ReputationGraph, axioms: Iterable[Axiom], cap: int
+) -> Iterator[tuple[Ranking, bool]]:
+    """Each total preorder in enumeration order, with whether it satisfies
+    every requested axiom."""
+    ordered_axioms = _applicable(graph.mode, axioms)
+    for ranking in enumerate_preorders(graph.nodes, cap=cap):
+        yield ranking, all(check(graph, ranking, axiom).passed for axiom in ordered_axioms)
 
 
 def certify(
@@ -51,11 +57,9 @@ def certify(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Certificate:
     """First satisfying preorder, or UNSAT after scanning all of them."""
-    ordered_axioms = _applicable(graph.mode, axioms)
     examined = 0
-    for ranking in enumerate_preorders(graph.nodes, cap=cap):
-        examined += 1
-        if _satisfies(graph, ranking, ordered_axioms):
+    for examined, (ranking, satisfied) in enumerate(_scan(graph, axioms, cap), start=1):
+        if satisfied:
             return Certificate(CertificateStatus.SAT, ranking, examined)
     return Certificate(CertificateStatus.UNSAT, None, examined)
 
@@ -66,12 +70,7 @@ def count_satisfying(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> int:
     """How many total preorders satisfy the whole axiom set."""
-    ordered_axioms = _applicable(graph.mode, axioms)
-    return sum(
-        1
-        for ranking in enumerate_preorders(graph.nodes, cap=cap)
-        if _satisfies(graph, ranking, ordered_axioms)
-    )
+    return sum(satisfied for _, satisfied in _scan(graph, axioms, cap))
 
 
 def certify_vwm_strongly_connected(

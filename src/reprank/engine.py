@@ -13,7 +13,7 @@ from typing import Literal
 
 from . import dominance
 from .errors import ModeError
-from .graphs import Feedback, Mode, ReputationGraph
+from .graphs import Mode, ReputationGraph
 from .rankings import Ranking, normalize
 
 
@@ -49,12 +49,11 @@ class RefinementTrace:
 def _refine(
     graph: ReputationGraph,
     initial: Ranking,
-    kinds: tuple[Feedback, ...],
     direction: Literal["above", "below"],
 ) -> tuple[Ranking, RefinementTrace]:
     """Split levels of ``initial`` until no levelmate dominates another.
 
-    ``kinds`` names the backers: the graph's one polarity, compared with
+    The backers are the graph's sides: its one polarity, compared with
     ``more_important``, or supporters and accusers, compared with
     ``socially_stronger``. An agent is eligible when it dominates a
     levelmate and no levelmate dominates it; one exists whenever any
@@ -69,32 +68,28 @@ def _refine(
     """
     names = graph.nodes
     n = len(names)
-    index = {v: i for i, v in enumerate(names)}
-    dependents: list[set[int]] = [set() for _ in range(n)]
-    for src, dst, _ in graph.edges:
-        dependents[index[src]].add(index[dst])
-    sides = [{v: graph.support_set(v, kind) for v in names} for kind in kinds]
+    sides = [graph._incoming[kind] for kind in graph._sides]
     good, bad = sides if len(sides) == 2 else (sides[0], None)
-    levels = [[index[v] for v in level] for level in initial.levels]
+    levels = [[graph._index[v] for v in level] for level in initial.levels]
     known: dict[int, bool] = {}  # u * n + v -> u dominates v under current
     current = initial
 
-    def stronger(u: str, v: str) -> bool:
+    def stronger(u: int, v: int) -> bool:
         if bad is None:
             return dominance.more_important(current, good[u], good[v])
         # A group covers only groups no larger than itself, under any ranking.
         if len(good[u]) < len(good[v]) or len(bad[v]) < len(bad[u]):
             return False
-        return dominance.socially_stronger(current, graph, u, v)
+        return dominance.socially_stronger(current, graph, names[u], names[v])
 
-    def same(u: str, v: str) -> bool:
+    def same(u: int, v: int) -> bool:
         return all(dominance.equally_strong(current, side[u], side[v]) for side in sides)
 
     def beats(u: int, v: int) -> bool:
         key = u * n + v
         result = known.get(key)
         if result is None:
-            result = known[key] = stronger(names[u], names[v])
+            result = known[key] = stronger(u, v)
         return result
 
     def scan(level: list[int]) -> tuple[int, int] | None:
@@ -116,13 +111,13 @@ def _refine(
         chosen, witness = min(picked)
         k = current.rank_of(names[chosen]) - 1
         tied = levels[k]
-        moved = [v for v in tied if v == chosen or same(names[chosen], names[v])]
+        moved = [v for v in tied if v == chosen or same(chosen, v)]
         left_behind = [v for v in tied if v not in moved]
         split = [moved, left_behind] if direction == "above" else [left_behind, moved]
         levels[k : k + 1] = split
         current = Ranking.from_levels([names[v] for v in level] for level in levels)
         smaller = moved if len(moved) <= len(left_behind) else left_behind
-        touched = {d for s in smaller for d in dependents[s]}
+        touched = {d for s in smaller for d in graph._dependents[s]}
         for d in touched:
             for x in levels[current.rank_of(names[d]) - 1]:
                 known.pop(d * n + x, None)
@@ -150,7 +145,7 @@ def rank_positive(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     if graph.mode is not Mode.POSITIVE_ONLY:
         raise ModeError("rank_positive needs a positive-only graph")
     initial = normalize({v: -len(graph.support_set(v)) for v in graph.nodes})
-    return _refine(graph, initial, (Feedback.POSITIVE,), "above")
+    return _refine(graph, initial, "above")
 
 
 def rank_negative(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
@@ -163,7 +158,7 @@ def rank_negative(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     if graph.mode is not Mode.NEGATIVE_ONLY:
         raise ModeError("rank_negative needs a negative-only graph")
     initial = normalize({v: len(graph.support_set(v)) for v in graph.nodes})
-    return _refine(graph, initial, (Feedback.NEGATIVE,), "below")
+    return _refine(graph, initial, "below")
 
 
 def rank_combined(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
@@ -176,7 +171,7 @@ def rank_combined(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     if graph.mode is not Mode.COMBINED:
         raise ModeError("rank_combined needs a combined-mode graph")
     initial = Ranking({v: 1 for v in graph.nodes})
-    return _refine(graph, initial, (Feedback.POSITIVE, Feedback.NEGATIVE), "above")
+    return _refine(graph, initial, "above")
 
 
 _ENGINES = {

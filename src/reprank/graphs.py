@@ -9,7 +9,7 @@ polarities its edges may use.
 from __future__ import annotations
 
 import enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ModeError, ParseError, UnknownNodeError
 
@@ -31,12 +31,6 @@ class Mode(enum.Enum):
     @property
     def allowed_kinds(self) -> frozenset[Feedback]:
         return _KINDS_BY_MODE[self]
-
-    @property
-    def single_kind(self) -> Feedback | None:
-        """The unique edge kind of a single-polarity mode, else None."""
-        kinds = _KINDS_BY_MODE[self]
-        return next(iter(kinds)) if len(kinds) == 1 else None
 
 
 _KINDS_BY_MODE = {
@@ -77,7 +71,14 @@ class ReputationGraph:
     tie-breaking authority used by everything built on top of the graph.
     """
 
-    __slots__ = ("nodes", "edges", "mode", "_incoming")
+    __slots__ = ("nodes", "edges", "mode", "_index", "_incoming", "_sides", "_dependents")
+
+    # The adjacency, built once and read by the engine and the checker:
+    # ``_index`` maps a name to its position in ``nodes``; ``_incoming[kind]``
+    # holds each position's backers of that kind (empty for a kind the mode
+    # forbids); ``_sides`` lists the admitted kinds in ``Feedback`` order, the
+    # sides that rankings compare; ``_dependents`` holds the positions each
+    # position backs, of either kind.
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[Edge], mode: Mode):
         node_list = list(nodes)
@@ -88,27 +89,29 @@ class ReputationGraph:
             raise ValueError("duplicate node names")
         for name in node_list:
             _check_name(name)
+        names = tuple(sorted(node_set))
+        index = {v: i for i, v in enumerate(names)}
+        incoming: dict[Feedback, list[set[str]]] = {
+            kind: [set() for _ in names] for kind in Feedback
+        }
+        dependents: list[set[int]] = [set() for _ in names]
         edge_set: set[Edge] = set()
         for src, dst, kind in edges:
             _check_edge((src, dst, kind), mode, edge_set)
-            if src not in node_set or dst not in node_set:
+            if src not in index or dst not in index:
                 raise UnknownNodeError(f"edge {src!r} -> {dst!r} uses an undeclared node")
-        object.__setattr__(self, "nodes", tuple(sorted(node_set)))
-        object.__setattr__(self, "edges", frozenset(edge_set))
-        object.__setattr__(self, "mode", mode)
-        incoming: dict[Feedback, dict[str, set[str]]] = {
-            kind: {n: set() for n in node_set} for kind in Feedback
-        }
-        for src, dst, kind in edge_set:
-            incoming[kind][dst].add(src)
-        object.__setattr__(
-            self,
-            "_incoming",
-            {
-                kind: {n: frozenset(sources) for n, sources in per_node.items()}
-                for kind, per_node in incoming.items()
-            },
-        )
+            incoming[kind][index[dst]].add(src)
+            dependents[index[src]].add(index[dst])
+        for name, value in (
+            ("nodes", names),
+            ("edges", frozenset(edge_set)),
+            ("mode", mode),
+            ("_index", index),
+            ("_incoming", {k: tuple(map(frozenset, b)) for k, b in incoming.items()}),
+            ("_sides", tuple(k for k in Feedback if k in mode.allowed_kinds)),
+            ("_dependents", tuple(map(frozenset, dependents))),
+        ):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ReputationGraph is immutable")
@@ -138,11 +141,11 @@ class ReputationGraph:
         the graph's own polarity. Combined graphs must name the kind.
         """
         if kind is None:
-            kind = self.mode.single_kind
-            if kind is None:
+            if len(self._sides) != 1:
                 raise ValueError("combined graphs need an explicit feedback kind")
+            kind = self._sides[0]
         try:
-            return self._incoming[kind][node]
+            return self._incoming[kind][self._index[node]]
         except KeyError:
             raise UnknownNodeError(f"unknown node: {node!r}") from None
 
@@ -155,26 +158,22 @@ class ReputationGraph:
         """
         if self.mode is not Mode.POSITIVE_ONLY:
             raise ModeError("complement is defined for positive-only graphs")
-        present = {(src, dst) for src, dst, _ in self.edges}
         comp_edges = [
             (u, v, Feedback.NEGATIVE)
-            for u in self.nodes
-            for v in self.nodes
-            if u != v and (u, v) not in present
+            for i, u in enumerate(self.nodes)
+            for j, v in enumerate(self.nodes)
+            if i != j and j not in self._dependents[i]
         ]
         return ReputationGraph(self.nodes, comp_edges, Mode.NEGATIVE_ONLY)
 
     def is_strongly_connected(self) -> bool:
         """True iff a directed path joins every ordered node pair (kinds ignored)."""
-        forward: dict[str, list[str]] = {n: [] for n in self.nodes}
-        backward: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for src, dst, _ in self.edges:
-            forward[src].append(dst)
-            backward[dst].append(src)
-        root = self.nodes[0]
-        return len(_reachable(forward, root)) == len(self.nodes) and len(
-            _reachable(backward, root)
-        ) == len(self.nodes)
+        backward: list[list[int]] = [[] for _ in self.nodes]
+        for src, targets in enumerate(self._dependents):
+            for dst in targets:
+                backward[dst].append(src)
+        n = len(self.nodes)
+        return len(_reachable(self._dependents, 0)) == n == len(_reachable(backward, 0))
 
     def serialize(self) -> str:
         """Edge-list text; nodes and edges written in lexicographic order."""
@@ -188,7 +187,7 @@ class ReputationGraph:
         return "\n".join(lines) + "\n"
 
 
-def _reachable(adjacency: dict[str, list[str]], root: str) -> set[str]:
+def _reachable(adjacency: Sequence[Iterable[int]], root: int) -> set[int]:
     seen = {root}
     stack = [root]
     while stack:

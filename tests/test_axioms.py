@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from reprank import (
     ModeError,
     NodeSetMismatchError,
     Ranking,
+    UnknownNodeError,
     check,
     check_all,
     enumerate_preorders,
@@ -206,6 +208,22 @@ def test_axiom_mode_mismatch():
         check(g, Ranking({"a": 1, "b": 2}), Axiom.BT)
     with pytest.raises(ModeError):
         pair_violates(g, Ranking({"a": 1, "b": 2}), Axiom.BT, "a", "b")
+
+
+@pytest.mark.parametrize(
+    "ranks, vi, vj, missing",
+    [
+        ({"a": 1, "b": 2}, "zz", "a", "zz"),  # first node not in the graph
+        ({"a": 1, "b": 2}, "a", "zz", "zz"),  # second node not in the graph
+        ({"zz": 1}, "zz", "b", "zz"),  # in the ranking only
+        ({"a": 1}, "a", "b", "b"),  # in the graph, not in the ranking
+        ({"b": 1}, "a", "b", "a"),  # in the graph, not in the ranking
+    ],
+)
+def test_pair_violates_unknown_node(ranks, vi, vj, missing):
+    g = positive_graph([("a", "b")])
+    with pytest.raises(UnknownNodeError, match=re.escape(f"unknown node: {missing!r}")):
+        pair_violates(g, Ranking(ranks), Axiom.T, vi, vj)
 
 
 def test_node_set_mismatch():

@@ -112,9 +112,19 @@ def test_support_set_of_multi_backed_node(triangle_with_supporter):
 @PROPERTY_SETTINGS
 @given(graphs())
 def test_support_set_never_contains_self(g):
+    # Every mode and every kind, admitted or not, read against the edge list.
     for node in g.nodes:
         for kind in Feedback:
-            assert node not in g.support_set(node, kind)
+            backers = {src for src, dst, k in g.edges if dst == node and k is kind}
+            support = g.support_set(node, kind)
+            assert isinstance(support, frozenset)
+            assert support == backers
+            assert node not in support
+            if kind not in g.mode.allowed_kinds:
+                assert support == frozenset()
+        if g.mode is not Mode.COMBINED:
+            (only,) = g.mode.allowed_kinds
+            assert g.support_set(node) == g.support_set(node, only)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +189,24 @@ def test_inward_supporter_breaks_strong_connectivity(triangle_with_supporter):
 
 def test_single_node_is_strongly_connected():
     assert positive_graph([], extra_nodes=["a"]).is_strongly_connected()
+
+
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_strong_connectivity_matches_an_edge_walk(g):
+    def reached_from(start):
+        seen, stack = {start}, [start]
+        while stack:
+            here = stack.pop()
+            for src, dst, _ in g.edges:
+                if src == here and dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+        return seen
+
+    everyone = set(g.nodes)
+    expected = all(reached_from(v) == everyone for v in g.nodes)
+    assert g.is_strongly_connected() == expected
 
 
 def test_strong_connectivity_undefined_on_empty_graph():
