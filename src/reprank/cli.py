@@ -1,15 +1,18 @@
 """Command-line interface: rank, check, certify, complement.
 
 Exit codes: 0 on success / all axioms pass / SAT; 1 on a failed axiom or
-UNSAT; 2 on usage or input errors.
+UNSAT; 2 on usage or input errors; 141 when stdout is closed early.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import pathlib
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from .axioms import AXIOMS_BY_MODE, Axiom, AxiomReport, check
@@ -52,33 +55,49 @@ def _select_axioms(graph: ReputationGraph, raw: str | None) -> tuple[Axiom, ...]
     return _parse_axiom_list(raw)
 
 
-def _ranking_json(ranking: Ranking) -> list[dict[str, object]]:
-    return [{"node": n, "rank": ranking.rank_of(n)} for n in ranking.nodes]
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _render(value: object, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, a ``Ranking`` as its ``{"node", "rank"}``
+    list; strings stay in C where indenting moves ``json.dumps`` to Python."""
+    if isinstance(value, str):
+        return _escape(value)
+    inner = indent + "  "
+    if isinstance(value, Ranking):
+        ranks = value.as_dict()
+        head, close = f'{inner}{{\n{inner}  "node": ', f"\n{inner}}}"
+        rows = [f'{_escape(n)},\n{inner}  "rank": {ranks[n]}' for n in sorted(ranks)]
+        return f"[\n{head}" + f"{close},\n{head}".join(rows) + f"{close}\n{indent}]"
+    if isinstance(value, dict):
+        items = [f"{inner}{_escape(k)}: {_render(v, inner)}" for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        items = [inner + _render(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    start, end = "{}" if isinstance(value, dict) else "[]"
+    if not items:
+        return start + end
+    return f"{start}\n" + ",\n".join(items) + f"\n{indent}{end}"
 
 
 def _report_json(report: AxiomReport) -> dict[str, object]:
-    witness = None
-    if report.witness is not None:
-        witness = {
-            "vi": report.witness.vi,
-            "vj": report.witness.vj,
-            "reason": report.witness.reason,
-        }
+    witness = asdict(report.witness) if report.witness is not None else None
     return {"axiom": report.axiom.value, "passed": report.passed, "witness": witness}
 
 
 def _trace_json(trace: RefinementTrace) -> dict[str, object]:
     return {
-        "initial": _ranking_json(trace.initial),
+        "initial": trace.initial,
         "steps": [
             {
                 "iteration": step.index,
                 "chosen": step.chosen,
                 "witness": step.witness,
-                "moved": list(step.moved),
-                "left_behind": list(step.left_behind),
+                "moved": step.moved,
+                "left_behind": step.left_behind,
                 "direction": step.direction,
-                "ranking": _ranking_json(step.ranking),
+                "ranking": step.ranking,
             }
             for step in trace.steps
         ],
@@ -104,13 +123,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     ranking, trace = rank_graph(graph)
     if args.format == "json":
-        payload: dict[str, object] = {
-            "mode": graph.mode.value,
-            "ranking": _ranking_json(ranking),
-        }
+        payload: dict[str, object] = {"mode": graph.mode.value, "ranking": ranking}
         if args.trace:
             payload["trace"] = _trace_json(trace)
-        print(json.dumps(payload, indent=2))
+        print(_render(payload))
     else:
         if args.trace:
             print("\n".join(_trace_text(trace)))
@@ -131,7 +147,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "reports": [_report_json(r) for r in reports],
             "all_passed": all_passed,
         }
-        print(json.dumps(payload, indent=2))
+        print(_render(payload))
     else:
         for report in reports:
             print(report.render_text())
@@ -143,17 +159,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
     axioms = _select_axioms(graph, args.axioms)
     certificate = certify(graph, axioms, cap=args.cap)
     if args.format == "json":
-        witness = (
-            _ranking_json(certificate.witness)
-            if certificate.witness is not None
-            else None
-        )
         payload = {
             "status": certificate.status.value,
             "examined": certificate.examined,
-            "witness": witness,
+            "witness": certificate.witness,
         }
-        print(json.dumps(payload, indent=2))
+        print(_render(payload))
     else:
         print(certificate.render_text())
     return 0 if certificate.status is CertificateStatus.SAT else 1
@@ -173,7 +184,7 @@ def cmd_complement(args: argparse.Namespace) -> int:
                 )
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(_render(payload))
     else:
         print(comp.serialize(), end="")
     return 0
@@ -243,18 +254,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one per process, built on first use
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): point it at devnull so the final
+        # flush at exit stays silent, and exit as a SIGPIPE death would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 import reprank
 from conftest import random_graph
-from reprank import AXIOMS_BY_MODE, Mode, parse_graph, parse_ranking
-from reprank.cli import main
+from reprank import AXIOMS_BY_MODE, Mode, Ranking, normalize, parse_graph, parse_ranking
+from reprank.cli import _render, main
 
 POS_PATH = "mode positive\na + b\nb + c\n"
 NEG_PATH = "mode negative\na - b\nb - c\n"
@@ -237,6 +237,82 @@ def test_complement_of_negative_exits_2(write_file, capsys):
 
 
 # ---------------------------------------------------------------------------
+# JSON rendering: exactly json.dumps(payload, indent=2)
+
+
+def _is_name(text):
+    try:
+        Ranking({text: 1})
+    except ValueError:
+        return False
+    return True
+
+
+AWKWARD = ['a"b', "c\\d", "x/y", "é", "中", "\U0001d11e", "\\u0041"]
+names = st.one_of(st.sampled_from(AWKWARD), st.text(min_size=1, max_size=5).filter(_is_name))
+
+
+@st.composite
+def rankings(draw):
+    nodes = draw(st.lists(names, min_size=1, max_size=6, unique=True))
+    scores = draw(st.lists(st.integers(0, 3), min_size=len(nodes), max_size=len(nodes)))
+    return normalize(dict(zip(nodes, scores)))
+
+
+leaves = st.one_of(st.none(), st.booleans(), st.integers(), names, st.text(), rankings())
+payloads = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(names, st.text()), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def _expand(value):
+    """The payload as the CLI built it before rendering: a Ranking as dicts."""
+    if isinstance(value, Ranking):
+        return [{"node": n, "rank": value.rank_of(n)} for n in value.nodes]
+    if isinstance(value, dict):
+        return {key: _expand(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_expand(item) for item in value]
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads)
+def test_render_equals_json_dumps(payload):
+    assert _render(payload) == json.dumps(_expand(payload), indent=2)
+
+
+AWKWARD_GRAPH = 'mode positive\na"b + c\\d\nc\\d + é\né + 中\n中 + a"b\na"b + é\n'
+
+
+def test_json_round_trips_with_awkward_names(tmp_path, capsys):
+    graph = tmp_path / "g"
+    graph.write_text(AWKWARD_GRAPH, encoding="utf-8")
+    assert main(["rank", str(graph)]) == 0
+    ranking = tmp_path / "r"
+    ranking.write_text(capsys.readouterr().out, encoding="utf-8")
+    for argv in (
+        ["rank", str(graph), "--trace"],
+        ["check", str(graph), str(ranking)],
+        ["certify", str(graph)],
+        ["complement", str(graph)],
+    ):
+        assert main([*argv, "--format", "json"]) in (0, 1)
+        out = capsys.readouterr().out
+        assert out.isascii()
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        if argv[0] == "rank":
+            assert json.loads(out)["trace"]["steps"]
+    assert json.loads(out)["nodes"] == ['a"b', "c\\d", "é", "中"]
+
+
+# ---------------------------------------------------------------------------
 # usage and integration
 
 
@@ -300,6 +376,16 @@ def test_console_script_is_installed(write_file):
     assert done.stdout == "a 3\nb 2\nc 1\n"
 
 
+def _package_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    package_root = str(Path(reprank.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    return env
+
+
 def test_console_script_target_runs_like_its_wrapper(write_file):
     # The part of the console script that needs no install: the target named
     # in pyproject.toml, called the way a generated wrapper calls it.
@@ -309,21 +395,59 @@ def test_console_script_target_runs_like_its_wrapper(write_file):
         scripts = tomllib.load(fh)["project"]["scripts"]
     module, func = scripts["reprank"].split(":")
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
-    package_root = str(Path(reprank.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")])
-    )
     graph = write_file("g", POS_PATH)
     done = subprocess.run(
         [sys.executable, "-c", wrapper, "rank", graph],
         capture_output=True,
         text=True,
         timeout=60,
-        env=env,
+        env=_package_env(),
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "a 3\nb 2\nc 1\n"
+
+
+def test_closed_stdout_exits_141_without_traceback(write_file, capsys):
+    # `reprank rank G --trace --format json | head -c1`: the reader goes away
+    # while the CLI is still writing. It must exit as a SIGPIPE death would
+    # (128 + 13), not 1, which means a failed check, and print no traceback.
+    g = random_graph(random.Random("closed-pipe"), 60, 4 / 59, Mode.POSITIVE_ONLY)
+    argv = ["rank", write_file("g", g.serialize()), "--trace", "--format", "json"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out) > 2 * 65536  # well past a pipe's buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "reprank.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+        env=_package_env(),
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""
+
+
+def test_short_output_to_a_closed_pipe_exits_141(write_file):
+    # The output fits in stdout's buffer, so the write fails only when it is
+    # flushed; main must flush it itself rather than leave it to the exit.
+    env = _package_env()
+    env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "reprank.cli", "rank", write_file("g", POS_PATH)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 # ---------------------------------------------------------------------------
