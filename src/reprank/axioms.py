@@ -160,14 +160,17 @@ def _applicable(mode: Mode, axioms: Iterable[Axiom]) -> tuple[Axiom, ...]:
 
 
 def _snapshot(
-    graph: ReputationGraph, rank: Callable[[str], int], positions: Sequence[int]
+    graph: ReputationGraph, rank: Callable[[str], int], positions: Sequence[int] | None = None
 ) -> tuple[list[int], Side, Side]:
-    """Ranks of the nodes at ``positions``, negated on a negative graph, and
-    their profiles on the graph's sides."""
-    backers = [graph._incoming[kind] for kind in graph._sides]
-    sides = [_profiles(rank, [side[i] for i in positions]) for side in backers]
+    """Ranks of the nodes at ``positions`` (default: every node), negated on
+    a negative graph, and their profiles on the graph's sides."""
+    names, sides = graph.nodes, graph._backers
+    if positions is not None:
+        names = [names[i] for i in positions]
+        sides = [[side[i] for i in positions] for side in sides]
+    profiles = [_profiles(rank, side) for side in sides]
     sign = -1 if graph.mode is Mode.NEGATIVE_ONLY else 1
-    return [sign * rank(graph.nodes[i]) for i in positions], sides[0], sides[-1]
+    return [sign * rank(v) for v in names], profiles[0], profiles[-1]
 
 
 def pair_violates(
@@ -189,11 +192,11 @@ def check(graph: ReputationGraph, ranking: Ranking, axiom: Axiom) -> AxiomReport
     # The O(1) test first: certify calls check once per preorder and axiom.
     if axiom not in AXIOMS_BY_MODE[graph.mode]:
         _applicable(graph.mode, (axiom,))
-    ranks = ranking.as_dict()
+    ranks = ranking._ranks  # read only: a Ranking never changes
     if ranks.keys() != graph._index.keys():
         raise NodeSetMismatchError("ranking does not cover exactly the graph's nodes")
     nodes = graph.nodes
-    rank, p, q = _snapshot(graph, ranks.__getitem__, range(len(nodes)))
+    rank, p, q = _snapshot(graph, ranks.__getitem__)
     clause = _PAIR_CHECKS[axiom]
     for i, j in itertools.permutations(range(len(nodes)), 2):
         if clause(rank, p, q, i, j):

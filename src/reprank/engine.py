@@ -68,7 +68,7 @@ def _refine(
     """
     names = graph.nodes
     n = len(names)
-    sides = [graph._incoming[kind] for kind in graph._sides]
+    sides = graph._backers
     good, bad = sides if len(sides) == 2 else (sides[0], None)
     levels = [[graph._index[v] for v in level] for level in initial.levels]
     known: dict[int, bool] = {}  # u * n + v -> u dominates v under current

@@ -71,14 +71,14 @@ class ReputationGraph:
     tie-breaking authority used by everything built on top of the graph.
     """
 
-    __slots__ = ("nodes", "edges", "mode", "_index", "_incoming", "_sides", "_dependents")
+    __slots__ = ("nodes", "edges", "mode", "_index", "_incoming", "_backers", "_dependents")
 
     # The adjacency, built once and read by the engine and the checker:
     # ``_index`` maps a name to its position in ``nodes``; ``_incoming[kind]``
     # holds each position's backers of that kind (empty for a kind the mode
-    # forbids); ``_sides`` lists the admitted kinds in ``Feedback`` order, the
-    # sides that rankings compare; ``_dependents`` holds the positions each
-    # position backs, of either kind.
+    # forbids); ``_backers`` holds the ``_incoming`` rows of the kinds the
+    # mode admits, in ``Feedback`` order: the sides that rankings compare;
+    # ``_dependents`` holds the positions each position backs, of either kind.
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[Edge], mode: Mode):
         node_list = list(nodes)
@@ -89,29 +89,36 @@ class ReputationGraph:
             raise ValueError("duplicate node names")
         for name in node_list:
             _check_name(name)
+        edge_set: set[Edge] = set()
+        for src, dst, kind in edges:
+            _check_edge((src, dst, kind), mode, edge_set)
+            if src not in node_set or dst not in node_set:
+                raise UnknownNodeError(f"edge {src!r} -> {dst!r} uses an undeclared node")
+        self._build(node_set, edge_set, mode)
+
+    def _build(self, node_set: set[str], edge_set: set[Edge], mode: Mode) -> "ReputationGraph":
+        """Fill the slots from nodes and edges checked above or by ``parse_graph``."""
         names = tuple(sorted(node_set))
         index = {v: i for i, v in enumerate(names)}
         incoming: dict[Feedback, list[set[str]]] = {
             kind: [set() for _ in names] for kind in Feedback
         }
         dependents: list[set[int]] = [set() for _ in names]
-        edge_set: set[Edge] = set()
-        for src, dst, kind in edges:
-            _check_edge((src, dst, kind), mode, edge_set)
-            if src not in index or dst not in index:
-                raise UnknownNodeError(f"edge {src!r} -> {dst!r} uses an undeclared node")
+        for src, dst, kind in edge_set:
             incoming[kind][index[dst]].add(src)
             dependents[index[src]].add(index[dst])
+        frozen = {k: tuple(map(frozenset, b)) for k, b in incoming.items()}
         for name, value in (
             ("nodes", names),
             ("edges", frozenset(edge_set)),
             ("mode", mode),
             ("_index", index),
-            ("_incoming", {k: tuple(map(frozenset, b)) for k, b in incoming.items()}),
-            ("_sides", tuple(k for k in Feedback if k in mode.allowed_kinds)),
+            ("_incoming", frozen),
+            ("_backers", tuple(frozen[k] for k in Feedback if k in mode.allowed_kinds)),
             ("_dependents", tuple(map(frozenset, dependents))),
         ):
             object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ReputationGraph is immutable")
@@ -140,12 +147,11 @@ class ReputationGraph:
         For single-polarity graphs the kind may be omitted and defaults to
         the graph's own polarity. Combined graphs must name the kind.
         """
-        if kind is None:
-            if len(self._sides) != 1:
-                raise ValueError("combined graphs need an explicit feedback kind")
-            kind = self._sides[0]
+        if kind is None and len(self._backers) != 1:
+            raise ValueError("combined graphs need an explicit feedback kind")
         try:
-            return self._incoming[kind][self._index[node]]
+            backers = self._backers[0] if kind is None else self._incoming[kind]
+            return backers[self._index[node]]
         except KeyError:
             raise UnknownNodeError(f"unknown node: {node!r}") from None
 
@@ -250,7 +256,6 @@ def parse_graph(text: str) -> ReputationGraph:
         nodes.add(dst)
     if mode is None:
         raise ParseError("missing 'mode' header")
-    try:
-        return ReputationGraph(nodes, edges, mode)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    if not nodes:
+        raise ParseError("graph has no nodes")
+    return object.__new__(ReputationGraph)._build(nodes, edges, mode)

@@ -7,6 +7,7 @@ node set are enumerated as ordered set partitions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator, Mapping
 
@@ -41,13 +42,16 @@ class Ranking:
         used = set(ranks.values())
         if used != set(range(1, len(used) + 1)):
             raise ValueError("ranks must be dense: exactly the values 1..k")
-        object.__setattr__(self, "_ranks", dict(ranks))
         grouped: list[list[str]] = [[] for _ in range(len(used))]
         for node, rank in ranks.items():
             grouped[rank - 1].append(node)
-        object.__setattr__(
-            self, "_levels", tuple(tuple(sorted(level)) for level in grouped)
-        )
+        self._fill(dict(ranks), tuple(tuple(sorted(level)) for level in grouped))
+
+    def _fill(self, ranks: dict[str, int], levels: tuple[tuple[str, ...], ...]) -> "Ranking":
+        """Set the slots unchecked: ``levels`` are the sorted levels of valid ``ranks``."""
+        object.__setattr__(self, "_ranks", ranks)
+        object.__setattr__(self, "_levels", levels)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Ranking is immutable")
@@ -140,7 +144,7 @@ def enumerate_preorders(
 
     Rankings come out as ordered set partitions built block-by-block in
     lexicographic node order, so the stream is deterministic. Node sets
-    larger than ``cap`` are refused up front.
+    larger than ``cap`` and invalid names are refused up front.
     """
     ordered = tuple(sorted(set(nodes)))
     if not ordered:
@@ -149,22 +153,35 @@ def enumerate_preorders(
         raise EnumerationCapError(
             f"{len(ordered)} nodes exceeds the enumeration cap of {cap}"
         )
+    for name in ordered:
+        _check_name(name)
     for levels in _ordered_partitions(ordered):
-        yield Ranking.from_levels(levels)
+        ranks = {node: rank for rank, level in enumerate(levels, start=1) for node in level}
+        yield object.__new__(Ranking)._fill(ranks, levels)
 
 
-def _ordered_partitions(
-    pool: tuple[str, ...]
-) -> Iterator[tuple[tuple[str, ...], ...]]:
-    if not pool:
-        yield ()
-        return
-    for size in range(1, len(pool) + 1):
-        for block in itertools.combinations(pool, size):
-            chosen = set(block)
-            rest = tuple(n for n in pool if n not in chosen)
-            for suffix in _ordered_partitions(rest):
-                yield (block,) + suffix
+def _ordered_partitions(pool: tuple[str, ...]) -> Iterator[tuple[tuple[str, ...], ...]]:
+    """Each first block of a non-empty sorted pool in (size, lex) order, then every
+    ordered partition of the rest; depth-first on a stack of (blocks, candidates)."""
+
+    @functools.cache
+    def splits(rest: tuple[str, ...]) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+        return [
+            (block, tuple(n for n in rest if n not in block))
+            for size in range(1, len(rest) + 1)
+            for block in itertools.combinations(rest, size)
+        ]
+
+    stack = [((), iter(splits(pool)))]
+    while stack:
+        prefix, candidates = stack[-1]
+        for block, rest in candidates:
+            if rest:
+                stack.append(((*prefix, block), iter(splits(rest))))
+                break
+            yield (*prefix, block)
+        else:
+            stack.pop()
 
 
 def parse_ranking(text: str) -> Ranking:

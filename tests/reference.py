@@ -1,15 +1,17 @@
 """Plain reference implementations of the engines and the axiom clauses.
 
 These are the straightforward forms: every comparison sorts the two support
-sets' ranks afresh, and every split rescans every level from scratch. The
-differential tests require the library's cached engine and integer-profile
-checker to agree with them on final rankings, every trace step and every
-axiom verdict.
+sets' ranks afresh, every split rescans every level from scratch, and the
+preorder enumerator recurses. The differential tests require the library's
+cached engine, integer-profile checker and stack-based enumerator to agree
+with them on final rankings, every trace step, every axiom verdict and every
+enumerated preorder in order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Literal
+import itertools
+from typing import Callable, Iterator, Literal
 
 from reprank import Feedback, Mode, Ranking, ReputationGraph
 from reprank.engine import RefinementTrace, TraceStep
@@ -128,6 +130,24 @@ def rank_graph(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
         lambda r, u, v: equally_strong(r, sets[u], sets[v]),
         "above" if graph.mode is Mode.POSITIVE_ONLY else "below",
     )
+
+
+# ---------------------------------------------------------------------------
+# preorder enumeration
+
+
+def ordered_partitions(pool: tuple[str, ...]) -> Iterator[tuple[tuple[str, ...], ...]]:
+    """Every ordered partition of a sorted pool: each first block by size, then
+    in lexicographic order, followed by every ordered partition of the rest.
+    The empty pool has exactly one, with no blocks."""
+    if not pool:
+        yield ()
+        return
+    for size in range(1, len(pool) + 1):
+        for block in itertools.combinations(pool, size):
+            rest = tuple(n for n in pool if n not in block)
+            for suffix in ordered_partitions(rest):
+                yield (block,) + suffix
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NEG, POS, graphs, negative_graph, positive_graph
+import reprank.graphs
+from conftest import NEG, POS, graphs, negative_graph, positive_graph, random_graph
 from reprank import (
     Feedback,
     Mode,
@@ -224,6 +227,29 @@ def test_parse_basic_positive():
     assert g.nodes == ("a", "b", "c")
     assert g.edges == frozenset({("a", "b", POS), ("b", "c", POS)})
     assert g.mode is Mode.POSITIVE_ONLY
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_parse_checks_each_edge_once(monkeypatch, mode):
+    text = random_graph(random.Random(3), 12, 0.3, mode).serialize()
+    checked: list[tuple] = []
+    real = reprank.graphs._check_edge
+
+    def counting(edge, mode, seen):
+        checked.append(edge)
+        real(edge, mode, seen)
+
+    monkeypatch.setattr(reprank.graphs, "_check_edge", counting)
+    g = parse_graph(text)
+    assert len(checked) == len(set(checked)) == len(g.edges) > 0
+
+
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_parse_builds_what_the_constructor_builds(g):
+    parsed = parse_graph(g.serialize())
+    for slot in ReputationGraph.__slots__:
+        assert getattr(parsed, slot) == getattr(g, slot), slot
 
 
 def test_parse_isolated_nodes_comments_and_blanks():

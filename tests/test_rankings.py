@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+import reprank.rankings
 from conftest import preorder_count, rankings
 from reprank import (
     EnumerationCapError,
@@ -183,6 +185,45 @@ def test_enumeration_partitions_by_first_block():
         1 for k in range(1, 5) for _ in itertools.combinations(nodes, k)
     )
     assert len(by_block) == expected_blocks
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_enumeration_matches_the_recursive_reference(n):
+    nodes = tuple(f"v{i}" for i in range(n))
+    expected = list(reference.ordered_partitions(nodes))
+    if n == 0:
+        assert expected == [()]
+        with pytest.raises(ValueError, match="empty node set"):
+            next(enumerate_preorders(nodes))
+        return
+    enumerated = list(enumerate_preorders(reversed(nodes)))
+    assert [r.levels for r in enumerated] == expected
+    assert len(enumerated) == preorder_count(n)
+    for r in enumerated:
+        built = Ranking.from_levels(r.levels)
+        assert list(r.as_dict().items()) == list(built.as_dict().items())
+        assert r.levels == built.levels
+        assert r == built and hash(r) == hash(built)
+
+
+def test_enumeration_refuses_an_invalid_name_at_the_first_preorder():
+    with pytest.raises(ValueError, match="invalid node name 'a#b'"):
+        next(enumerate_preorders(["a#b", "c"]))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_enumeration_checks_each_name_once(monkeypatch, n):
+    checked: list[str] = []
+    real = reprank.rankings._check_name
+
+    def counting(name: str) -> None:
+        checked.append(name)
+        real(name)
+
+    monkeypatch.setattr(reprank.rankings, "_check_name", counting)
+    nodes = [f"n{i}" for i in range(n)]
+    assert sum(1 for _ in enumerate_preorders(nodes)) == preorder_count(n)
+    assert checked == nodes
 
 
 # ---------------------------------------------------------------------------
