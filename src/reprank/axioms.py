@@ -33,6 +33,7 @@ class Axiom(enum.Enum):
     BM = "BM"
     TC = "Tc"
     MC = "Mc"
+    __hash__ = object.__hash__  # as on graphs.Feedback
 
     @classmethod
     def from_name(cls, name: str) -> "Axiom":
@@ -88,7 +89,7 @@ def _exists_strict_pair(above: Profile, below: Profile) -> bool:
 
 
 def _violates_t(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> bool:
-    return _strictly_covers(p[i], p[j]) and rank[i] >= rank[j]
+    return rank[i] >= rank[j] and _strictly_covers(p[i], p[j])
 
 
 def _violates_m(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> bool:
@@ -104,7 +105,7 @@ def _violates_vwm(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> bool
 
 
 def _violates_tc(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> bool:
-    return _social(good[i], bad[i], good[j], bad[j]) and rank[i] >= rank[j]
+    return rank[i] >= rank[j] and _social(good[i], bad[i], good[j], bad[j])
 
 
 def _violates_mc(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> bool:

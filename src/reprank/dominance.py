@@ -7,21 +7,23 @@ reliable" for accuser sets; only the interpretation changes.
 
 Every relation is decided on sorted rank profiles, a group's member ranks
 as an ascending int tuple, by ``_covers``, ``_strictly_covers`` and
-``_social``. The public functions below are thin wrappers that build the
-profiles from node sets; the engines compare agents through them. The axiom
-checker, which compares every ordered pair, builds each node's profiles
-once per ranking and calls the primitives directly.
+``_social``. The public functions below, which the engines call, build the
+profiles from node sets and keep a frozenset's until a call with another
+``Ranking`` object: one sort per backer set and ranking. The axiom checker
+builds each node's profiles once per ranking and calls the primitives.
 """
 
 from __future__ import annotations
 
-from operator import le
+from operator import eq, le
 from typing import AbstractSet, Callable, Iterable
 
+from .errors import UnknownNodeError
 from .graphs import Feedback, ReputationGraph
 from .rankings import Ranking
 
 Profile = tuple[int, ...]
+_memo: tuple[Ranking | None, dict[frozenset[str], Profile]] = (None, {})  # see _pair
 
 
 def _profiles(
@@ -29,6 +31,27 @@ def _profiles(
 ) -> list[Profile]:
     """Sorted rank profile of each group, with ``rank`` giving a member's rank."""
     return [tuple(sorted(map(rank, group))) for group in groups]
+
+
+def _profile(known: dict, rank: Callable[[str], int], group: AbstractSet[str]) -> Profile:
+    if type(group) is not frozenset:  # a plain set is never stored
+        return tuple(sorted(map(rank, group)))
+    profile = known.get(group)
+    if profile is None:
+        profile = known[group] = tuple(sorted(map(rank, group)))
+    return profile
+
+
+def _pair(ranking: Ranking, a: AbstractSet, b: AbstractSet) -> tuple[Profile, Profile]:
+    """Profiles of A and B, memoised for ``ranking`` only: another drops the memo."""
+    global _memo
+    if (memo := _memo)[0] is not ranking:
+        memo = _memo = (ranking, {})
+    known, rank = memo[1], ranking._ranks.__getitem__
+    try:
+        return _profile(known, rank, a), _profile(known, rank, b)
+    except KeyError as exc:
+        raise UnknownNodeError(f"unknown node: {exc.args[0]!r}") from None
 
 
 def _covers(a: Profile, b: Profile) -> bool:
@@ -59,22 +82,21 @@ def at_least_as_strong(
     strongest of B to the i-th strongest of A is optimal, so this is
     equivalent to searching all injections.
     """
-    return _covers(*_profiles(ranking.rank_of, (a, b)))
+    return _covers(*_pair(ranking, a, b))
 
 
 def equally_strong(
     ranking: Ranking, a: AbstractSet[str], b: AbstractSet[str]
 ) -> bool:
     """True iff a rank-preserving bijection A <-> B exists (equal rank multisets)."""
-    profile_a, profile_b = _profiles(ranking.rank_of, (a, b))
-    return profile_a == profile_b
+    return eq(*_pair(ranking, a, b))
 
 
 def more_important(
     ranking: Ranking, a: AbstractSet[str], b: AbstractSet[str]
 ) -> bool:
     """True iff A covers B injectively and strictly outranks it overall."""
-    return _strictly_covers(*_profiles(ranking.rank_of, (a, b)))
+    return _strictly_covers(*_pair(ranking, a, b))
 
 
 def socially_stronger(

@@ -19,6 +19,7 @@ class Feedback(enum.Enum):
 
     POSITIVE = "+"
     NEGATIVE = "-"
+    __hash__ = object.__hash__  # members are singletons; Enum's is a Python call
 
 
 class Mode(enum.Enum):
@@ -27,6 +28,7 @@ class Mode(enum.Enum):
     POSITIVE_ONLY = "positive"
     NEGATIVE_ONLY = "negative"
     COMBINED = "combined"
+    __hash__ = object.__hash__  # as on Feedback
 
     @property
     def allowed_kinds(self) -> frozenset[Feedback]:

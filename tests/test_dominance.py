@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reprank.dominance
 from conftest import (
     NEG,
     POS,
@@ -274,3 +275,95 @@ def test_unknown_member_of_frozenset_raises_on_every_call():
             equally_strong(r, frozenset({"b"}), group)
     # A valid group under the same ranking is unaffected.
     assert more_important(r, frozenset({"a"}), frozenset({"b"}))
+
+
+# ---------------------------------------------------------------------------
+# how often the memo sorts: a counting ``sorted`` in the dominance module
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    """Every profile the dominance module sorts, in call order; None marks a
+    sort that raised."""
+    made = []
+
+    def counting_sorted(iterable):
+        made.append(None)
+        made[-1] = profile = sorted(iterable)
+        return profile
+
+    monkeypatch.setattr(reprank.dominance, "sorted", counting_sorted, raising=False)
+    return made
+
+
+RELATIONS = (at_least_as_strong, equally_strong, more_important)
+
+
+def test_repeated_calls_sort_each_frozenset_once(sorts):
+    r = Ranking({"a": 1, "b": 2, "c": 2, "d": 3})
+    groups = (frozenset("ab"), frozenset("cd"), frozenset(), frozenset("ab"))
+    for _ in range(3):
+        for relation in RELATIONS:
+            for a, b in itertools.product(groups, repeat=2):
+                relation(r, a, b)
+    # Equal frozensets share one entry, whichever object is passed.
+    assert sorted(map(tuple, sorts)) == [(), (1, 2), (2, 3)]
+
+
+def test_a_new_equal_ranking_sorts_again(sorts):
+    first = Ranking({"a": 1, "b": 2, "c": 2})
+    groups = (frozenset("ab"), frozenset("c"))
+    more_important(first, *groups)
+    more_important(first, *groups)
+    assert len(sorts) == 2
+    second = Ranking(first.as_dict())
+    assert second == first and second is not first
+    more_important(second, *groups)
+    assert len(sorts) == 4
+    # Going back to the first object drops the second one's memo too.
+    more_important(first, *groups)
+    assert len(sorts) == 6
+
+
+def test_a_plain_set_sorts_on_every_call(sorts):
+    r = Ranking({"a": 1, "b": 2})
+    for relation in RELATIONS:
+        relation(r, {"a"}, frozenset("b"))
+    assert len(sorts) == 3 + 1
+
+
+def test_socially_stronger_sorts_each_side_once(sorts):
+    # All four groups tie at rank 1, so neither more_important call is strict
+    # and both equally_strong calls run: four public calls over four groups.
+    g = combined_graph([("p", "u"), ("q", "v")], [("s", "u"), ("t", "v")])
+    r = Ranking({v: 1 for v in g.nodes})
+    assert not socially_stronger(r, g, "u", "v")
+    assert len(sorts) == 4
+
+
+def test_socially_stronger_sorts_at_most_four_times(sorts):
+    rng = random.Random(11)
+    for _ in range(20):
+        g = random_graph(rng, 7, 0.4, Mode.COMBINED)
+        r = _random_ranking(rng, g.nodes)
+        for u, v in itertools.permutations(g.nodes, 2):
+            before = len(sorts)
+            socially_stronger(Ranking(r.as_dict()), g, u, v)  # a fresh memo
+            assert len(sorts) - before <= 4
+
+
+def test_unknown_member_message_matches_rank_of(sorts):
+    r = Ranking({"a": 1})
+    with pytest.raises(UnknownNodeError) as expected:
+        r.rank_of("zz")
+    for group in (frozenset({"a", "zz"}), {"a", "zz"}):
+        for relation in RELATIONS:
+            for args in ((group, frozenset()), (frozenset("a"), group)):
+                with pytest.raises(UnknownNodeError) as raised:
+                    relation(r, *args)
+                assert str(raised.value) == str(expected.value)
+                assert raised.value.__suppress_context__
+    # Every failing call tried to sort the group again, so nothing was stored
+    # for the frozenset; frozenset("a") was sorted once, frozenset() never.
+    assert sorts.count(None) == 12
+    assert [p for p in sorts if p is not None] == [[1]]

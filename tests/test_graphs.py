@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import reprank.graphs
 from conftest import NEG, POS, graphs, negative_graph, positive_graph, random_graph
 from reprank import (
+    Axiom,
     Feedback,
     Mode,
     ModeError,
@@ -77,6 +80,19 @@ def test_graph_is_immutable_and_hashable():
     assert g == positive_graph([("a", "b")])
     assert hash(g) == hash(positive_graph([("a", "b")]))
     assert g != negative_graph([("a", "b")])
+
+
+@pytest.mark.parametrize("kind", [Feedback, Mode, Axiom])
+def test_enum_members_hash_by_identity(kind):
+    # Dict lookups keyed by a member then skip Enum's Python-level __hash__.
+    assert kind.__hash__ is object.__hash__
+    by_member = {member: member.value for member in kind}
+    for member in kind:
+        assert kind(member.value) is member
+        assert by_member[member] == member.value
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert copy.deepcopy(member) is member
+        assert copy.deepcopy({member: [member]}) == {member: [member]}
 
 
 # ---------------------------------------------------------------------------
