@@ -195,7 +195,10 @@ def check(graph: ReputationGraph, ranking: Ranking, axiom: Axiom) -> AxiomReport
         _applicable(graph.mode, (axiom,))
     ranks = ranking._ranks  # read only: a Ranking never changes
     if ranks.keys() != graph._index.keys():
-        raise NodeSetMismatchError("ranking does not cover exactly the graph's nodes")
+        missing = sorted(graph._index.keys() - ranks.keys())
+        extra = sorted(ranks.keys() - graph._index.keys())
+        fault = f"{missing[0]!r} is unranked" if missing else f"{extra[0]!r} is not in the graph"
+        raise NodeSetMismatchError(f"ranking does not cover exactly the graph's nodes: {fault}")
     nodes = graph.nodes
     rank, p, q = _snapshot(graph, ranks.__getitem__)
     clause = _PAIR_CHECKS[axiom]

@@ -27,9 +27,17 @@ def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     try:
-        return pathlib.Path(path).read_text(encoding="utf-8")
+        data = pathlib.Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bad byte opens the line after the last break of the valid prefix.
+        line_no = len(f"{data[: exc.start].decode('utf-8')}.".splitlines())
+        bad = f"byte 0x{data[exc.start]:02x}"
+        raise InputError(f"cannot read {path}: line {line_no}: {bad} is not UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")  # newlines as text mode reads them
 
 
 def _load_graph(path: str) -> ReputationGraph:

@@ -30,7 +30,7 @@ class Ranking:
     ``parse_ranking(r.serialize()) == r`` holds for every ranking.
     """
 
-    __slots__ = ("_ranks", "_levels")
+    __slots__ = ("_ranks",)
 
     def __init__(self, ranks: Mapping[str, int]):
         if not ranks:
@@ -42,15 +42,11 @@ class Ranking:
         used = set(ranks.values())
         if used != set(range(1, len(used) + 1)):
             raise ValueError("ranks must be dense: exactly the values 1..k")
-        grouped: list[list[str]] = [[] for _ in range(len(used))]
-        for node, rank in ranks.items():
-            grouped[rank - 1].append(node)
-        self._fill(dict(ranks), tuple(tuple(sorted(level)) for level in grouped))
+        self._fill(dict(ranks))
 
-    def _fill(self, ranks: dict[str, int], levels: tuple[tuple[str, ...], ...]) -> "Ranking":
-        """Set the slots unchecked: ``levels`` are the sorted levels of valid ``ranks``."""
+    def _fill(self, ranks: dict[str, int]) -> "Ranking":
+        """Set the slot unchecked: ``ranks`` must be dense with checked names."""
         object.__setattr__(self, "_ranks", ranks)
-        object.__setattr__(self, "_levels", levels)
         return self
 
     def __setattr__(self, name, value):
@@ -68,7 +64,11 @@ class Ranking:
                 if node in ranks:
                     raise ValueError(f"node {node!r} appears in two levels")
                 ranks[node] = rank
-        return cls(ranks)
+        if not ranks:
+            raise ValueError("a ranking needs at least one node")
+        for node in ranks:
+            _check_name(node)
+        return object.__new__(cls)._fill(ranks)
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -77,11 +77,14 @@ class Ranking:
     @property
     def levels(self) -> tuple[tuple[str, ...], ...]:
         """Importance levels, most important first, each lex-sorted."""
-        return self._levels
+        grouped: list[list[str]] = [[] for _ in range(self.num_levels)]
+        for node in sorted(self._ranks):
+            grouped[self._ranks[node] - 1].append(node)
+        return tuple(map(tuple, grouped))
 
     @property
     def num_levels(self) -> int:
-        return len(self._levels)
+        return max(self._ranks.values())  # the ranks are dense
 
     def rank_of(self, node: str) -> int:
         try:
@@ -104,7 +107,7 @@ class Ranking:
         return hash(frozenset(self._ranks.items()))
 
     def __repr__(self) -> str:
-        body = " > ".join("=".join(level) for level in self._levels)
+        body = " > ".join("=".join(level) for level in self.levels)
         return f"Ranking({body})"
 
     def serialize(self) -> str:
@@ -157,7 +160,7 @@ def enumerate_preorders(
         _check_name(name)
     for levels in _ordered_partitions(ordered):
         ranks = {node: rank for rank, level in enumerate(levels, start=1) for node in level}
-        yield object.__new__(Ranking)._fill(ranks, levels)
+        yield object.__new__(Ranking)._fill(ranks)
 
 
 def _ordered_partitions(pool: tuple[str, ...]) -> Iterator[tuple[tuple[str, ...], ...]]:
@@ -210,7 +213,11 @@ def parse_ranking(text: str) -> Ranking:
             raise ParseError(
                 f"rank {rank_text!r} must be written with ASCII digits 0-9", line_no
             )
-        rank = int(rank_text)
+        try:
+            rank = int(rank_text)
+        except ValueError:  # longer than the interpreter's integer-string limit
+            message = f"rank of {name!r} is too long ({len(rank_text)} digits)"
+            raise ParseError(message, line_no) from None
         if rank < 1:
             raise ParseError(f"rank must be positive, got {rank}", line_no)
         ranks[name] = rank

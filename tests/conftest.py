@@ -125,6 +125,19 @@ def rank_profile(ranking: Ranking, group) -> tuple[int, ...]:
 
 NODE_POOL = tuple("abcdefgh")
 
+# Names that collide with the format's own words, plus arbitrary printable
+# text without whitespace or '#'.
+node_names = st.one_of(
+    st.sampled_from(["node", "mode", "+", "-", "positive"]),
+    st.text(
+        alphabet=st.characters(
+            blacklist_categories=("Z", "C"), blacklist_characters="#"
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
 
 @st.composite
 def rankings(draw, min_nodes: int = 1, max_nodes: int = 6) -> Ranking:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import reprank
 from conftest import random_graph
 from reprank import AXIOMS_BY_MODE, Mode, Ranking, normalize, parse_graph, parse_ranking
-from reprank.cli import _render, main
+from reprank.cli import _read_text, _render, main
 
 POS_PATH = "mode positive\na + b\nb + c\n"
 NEG_PATH = "mode negative\na - b\nb - c\n"
@@ -94,6 +94,38 @@ def test_rank_missing_file_exits_2(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def _write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+def test_graph_file_not_utf8_names_file_and_line(tmp_path, capsys):
+    graph = _write_bytes(tmp_path, "g", b"mode positive\na + b\r\n\xffc + a\n")
+    assert main(["rank", graph]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {graph}: line 3: byte 0xff is not UTF-8\n"
+
+
+def test_ranking_file_not_utf8_names_file_and_line(tmp_path, capsys):
+    graph = _write_bytes(tmp_path, "g", POS_PATH.encode())
+    ranking = _write_bytes(tmp_path, "r", "a 1\rb 2  # caf\u00e9\nc \xe9".encode() + b"\xe9 3\n")
+    assert main(["check", graph, ranking]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {ranking}: line 3: byte 0xe9 is not UTF-8\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(st.sampled_from("a1 \r\n\u00e9\u2028\x0b#")))
+def test_file_text_is_read_as_text_mode_reads_it(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "file")
+        path.write_bytes(text.encode("utf-8"))
+        assert _read_text(str(path)) == path.read_text(encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -145,6 +177,24 @@ def test_check_node_set_mismatch_exits_2(write_file, capsys):
     ranking = write_file("r", "a 1\nb 2\n")
     assert main(["check", graph, ranking]) == 2
     assert "node" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ranking_text, fault",
+    [
+        ("a 1\nb 2\n", "'c' is unranked"),
+        ("z 1\nb 2\ny 2\n", "'a' is unranked"),
+        ("a 1\nb 2\nc 2\nd 1\n", "'d' is not in the graph"),
+        ("e 1\nb 2\nc 2\na 1\nd 3\n", "'d' is not in the graph"),
+    ],
+)
+def test_check_node_set_mismatch_names_the_first_fault(write_file, capsys, ranking_text, fault):
+    # Missing nodes first, then extra ones, each in name order.
+    graph = write_file("g", POS_PATH)
+    ranking = write_file("r", ranking_text)
+    assert main(["check", graph, ranking]) == 2
+    message = f"ranking does not cover exactly the graph's nodes: {fault}"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_check_unknown_axiom_exits_2(write_file, capsys):

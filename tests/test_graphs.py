@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reprank.graphs
-from conftest import NEG, POS, graphs, negative_graph, positive_graph, random_graph
+from conftest import NEG, POS, graphs, negative_graph, node_names, positive_graph, random_graph
 from reprank import (
     Axiom,
     Feedback,
@@ -342,20 +342,6 @@ def test_serialize_lists_isolated_nodes_and_sorted_edges():
 @given(graphs())
 def test_serialize_round_trip(g):
     assert parse_graph(g.serialize()) == g
-
-
-# Names that collide with the format's own words, plus arbitrary printable
-# text without whitespace or '#'.
-node_names = st.one_of(
-    st.sampled_from(["node", "mode", "+", "-", "positive"]),
-    st.text(
-        alphabet=st.characters(
-            blacklist_categories=("Z", "C"), blacklist_characters="#"
-        ),
-        min_size=1,
-        max_size=4,
-    ),
-)
 
 
 @st.composite

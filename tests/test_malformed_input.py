@@ -45,6 +45,7 @@ RANKING_ROWS = [
     ("signed rank", "a +1\n", "rank '+1' must be written with ASCII digits 0-9", 1),
     ("rank zero", "a 1\nb 0\n", "rank must be positive, got 0", 2),
     ("non-dense ranks", "a 1\nb 3\n", "ranks must be dense: exactly the values 1..k", None),
+    ("huge rank", f"a 1\nb {'1' * 5000}\n", "rank of 'b' is too long (5000 digits)", 2),
 ]
 
 GRAPH = "mode positive\na + b\n"

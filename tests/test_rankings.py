@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference
 import reprank.rankings
-from conftest import preorder_count, rankings
+from conftest import node_names, preorder_count, rankings
 from reprank import (
     EnumerationCapError,
     NodeSetMismatchError,
@@ -58,6 +58,49 @@ def test_from_levels_round_trips():
         Ranking.from_levels([["a"], ["a"]])
     with pytest.raises(ValueError):
         Ranking.from_levels([["a"], []])
+
+
+FROM_LEVELS_ERRORS = [
+    ("no levels", [], "a ranking needs at least one node"),
+    ("empty level", [["a"], []], "levels must be non-empty"),
+    ("node in two levels", [["a", "b"], ["c", "a"]], "node 'a' appears in two levels"),
+    ("invalid name", [["a"], ["b c"]], "invalid node name 'b c'"),
+    # The level structure is checked before any name.
+    ("invalid name, then empty level", [["b c"], []], "levels must be non-empty"),
+]
+
+
+@pytest.mark.parametrize(
+    "_, levels, message", FROM_LEVELS_ERRORS, ids=[row[0] for row in FROM_LEVELS_ERRORS]
+)
+def test_from_levels_error_table(_, levels, message):
+    with pytest.raises(ValueError) as info:
+        Ranking.from_levels(levels)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+@st.composite
+def level_lists(draw) -> list[list[str]]:
+    """Disjoint non-empty levels, in no particular order inside a level."""
+    names = draw(st.lists(node_names, min_size=1, max_size=8, unique=True))
+    n = len(names)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    return [names[lo:hi] for lo, hi in itertools.pairwise([0, *cuts, n])]
+
+
+@PROPERTY_SETTINGS
+@given(level_lists())
+def test_from_levels_builds_what_the_constructor_builds(levels):
+    built = Ranking.from_levels(levels)
+    ranks = {node: rank for rank, level in enumerate(levels, start=1) for node in level}
+    expected = Ranking(ranks)
+    assert built == expected and hash(built) == hash(expected)
+    assert built.levels == expected.levels == tuple(tuple(sorted(lvl)) for lvl in levels)
+    assert built.num_levels == expected.num_levels == len(levels)
+    assert repr(built) == repr(expected)
+    assert built.serialize() == expected.serialize()
+    assert list(built.as_dict().items()) == list(expected.as_dict().items())
 
 
 def test_ranking_immutable_and_hashable():
