@@ -48,7 +48,6 @@ from .rankings import (
     DEFAULT_ENUMERATION_CAP,
     Ranking,
     enumerate_preorders,
-    is_refinement,
     normalize,
     parse_ranking,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "count_satisfying",
     "enumerate_preorders",
     "equally_strong",
-    "is_refinement",
     "more_important",
     "normalize",
     "pair_violates",

@@ -119,34 +119,29 @@ def _violates_mc(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> 
 
 PairCheck = Callable[[Sequence[int], Side, Side, int, int], bool]
 
-_PAIR_CHECKS: dict[Axiom, PairCheck] = {
-    Axiom.T: _violates_t,
-    Axiom.M: _violates_m,
-    Axiom.VWM: _violates_vwm,
-    Axiom.BT: _violates_t,
-    Axiom.BM: _violates_m,
-    Axiom.TC: _violates_tc,
-    Axiom.MC: _violates_mc,
-}
+_M_REASON = (
+    "ranked strictly higher without supporter dominance and no supporter "
+    "outranks any supporter of the lower node"
+)
 
-_REASONS: dict[Axiom, str] = {
-    Axiom.T: "supporters dominate but the node is not ranked strictly higher",
-    Axiom.M: (
-        "ranked strictly higher without supporter dominance and no supporter "
-        "outranks any supporter of the lower node"
-    ),
-    Axiom.BT: "accusers dominate but the node is not ranked strictly lower",
+# Each axiom's pair clause, and the reason a witness pair gives when it fails.
+_CLAUSES: dict[Axiom, tuple[PairCheck, str]] = {
+    Axiom.T: (_violates_t, "supporters dominate but the node is not ranked strictly higher"),
+    Axiom.M: (_violates_m, _M_REASON),
+    Axiom.VWM: (_violates_vwm, "support sizes within one apart and " + _M_REASON),
+    Axiom.BT: (_violates_t, "accusers dominate but the node is not ranked strictly lower"),
     Axiom.BM: (
+        _violates_m,
         "ranked strictly lower without accuser dominance and no accuser "
-        "outranks any accuser of the higher node"
+        "outranks any accuser of the higher node",
     ),
-    Axiom.TC: "socially stronger but the node is not ranked strictly higher",
+    Axiom.TC: (_violates_tc, "socially stronger but the node is not ranked strictly higher"),
     Axiom.MC: (
+        _violates_mc,
         "ranked strictly higher without being socially stronger and with "
-        "neither a supporter-side nor an accuser-side witness"
+        "neither a supporter-side nor an accuser-side witness",
     ),
 }
-_REASONS[Axiom.VWM] = "support sizes within one apart and " + _REASONS[Axiom.M]
 
 
 def _applicable(mode: Mode, axioms: Iterable[Axiom]) -> tuple[Axiom, ...]:
@@ -183,9 +178,8 @@ def pair_violates(
         pair = [graph._index[v] for v in (vi, vj)]
     except KeyError as exc:
         raise UnknownNodeError(f"unknown node: {exc.args[0]!r}") from None
-    if _PAIR_CHECKS[axiom](*_snapshot(graph, ranking.rank_of, pair), 0, 1):
-        return _REASONS[axiom]
-    return None
+    clause, reason = _CLAUSES[axiom]
+    return reason if clause(*_snapshot(graph, ranking.rank_of, pair), 0, 1) else None
 
 
 def check(graph: ReputationGraph, ranking: Ranking, axiom: Axiom) -> AxiomReport:
@@ -201,10 +195,10 @@ def check(graph: ReputationGraph, ranking: Ranking, axiom: Axiom) -> AxiomReport
         raise NodeSetMismatchError(f"ranking does not cover exactly the graph's nodes: {fault}")
     nodes = graph.nodes
     rank, p, q = _snapshot(graph, ranks.__getitem__)
-    clause = _PAIR_CHECKS[axiom]
+    clause, reason = _CLAUSES[axiom]
     for i, j in itertools.permutations(range(len(nodes)), 2):
         if clause(rank, p, q, i, j):
-            return AxiomReport(axiom, False, Witness(nodes[i], nodes[j], _REASONS[axiom]))
+            return AxiomReport(axiom, False, Witness(nodes[i], nodes[j], reason))
     return AxiomReport(axiom, True)
 
 

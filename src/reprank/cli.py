@@ -24,43 +24,30 @@ from .rankings import DEFAULT_ENUMERATION_CAP, Ranking, parse_ranking
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    name = "<stdin>" if path == "-" else path
+    if path == "-" and sys.stdin is None:  # the process was started with stdin closed
+        raise InputError("cannot read <stdin>: stdin is closed")
     try:
-        data = pathlib.Path(path).read_bytes()
+        data = sys.stdin.buffer.read() if path == "-" else pathlib.Path(path).read_bytes()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {name}: {exc}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # The bad byte opens the line after the last break of the valid prefix.
         line_no = len(f"{data[: exc.start].decode('utf-8')}.".splitlines())
         bad = f"byte 0x{data[exc.start]:02x}"
-        raise InputError(f"cannot read {path}: line {line_no}: {bad} is not UTF-8") from None
+        raise InputError(f"cannot read {name}: line {line_no}: {bad} is not UTF-8") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")  # newlines as text mode reads them
-
-
-def _load_graph(path: str) -> ReputationGraph:
-    return parse_graph(_read_text(path))
-
-
-def _parse_axiom_list(raw: str) -> tuple[Axiom, ...]:
-    names = [piece.strip() for piece in raw.split(",") if piece.strip()]
-    if not names:
-        raise InputError("empty axiom list")
-    axioms = []
-    for name in names:
-        try:
-            axioms.append(Axiom.from_name(name))
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-    return tuple(dict.fromkeys(axioms))
 
 
 def _select_axioms(graph: ReputationGraph, raw: str | None) -> tuple[Axiom, ...]:
     if raw is None:
         return AXIOMS_BY_MODE[graph.mode]
-    return _parse_axiom_list(raw)
+    names = [piece.strip() for piece in raw.split(",") if piece.strip()]
+    if not names:
+        raise InputError("empty axiom list")
+    return tuple(dict.fromkeys(map(Axiom.from_name, names)))
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -128,7 +115,7 @@ def _trace_text(trace: RefinementTrace) -> list[str]:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph)
+    graph = parse_graph(_read_text(args.graph))
     ranking, trace = rank_graph(graph)
     if args.format == "json":
         payload: dict[str, object] = {"mode": graph.mode.value, "ranking": ranking}
@@ -145,7 +132,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     if args.graph == "-" and args.ranking == "-":
         raise InputError("at most one of GRAPH and RANKING may be '-' (stdin)")
-    graph = _load_graph(args.graph)
+    graph = parse_graph(_read_text(args.graph))
     ranking = parse_ranking(_read_text(args.ranking))
     axioms = _select_axioms(graph, args.axioms)
     reports = [check(graph, ranking, axiom) for axiom in axioms]
@@ -163,7 +150,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph)
+    graph = parse_graph(_read_text(args.graph))
     axioms = _select_axioms(graph, args.axioms)
     certificate = certify(graph, axioms, cap=args.cap)
     if args.format == "json":
@@ -179,7 +166,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_complement(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph)
+    graph = parse_graph(_read_text(args.graph))
     comp = graph.complement()
     if args.format == "json":
         payload = {

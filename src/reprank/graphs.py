@@ -59,7 +59,7 @@ def _check_edge(edge: Edge, mode: Mode, seen: set[Edge]) -> None:
     _check_name(dst)
     if src == dst:
         raise ValueError(f"self-loop on {src!r}")
-    if kind not in mode.allowed_kinds:
+    if kind not in _KINDS_BY_MODE[mode]:  # the property would add a Python call per edge
         raise ModeError(f"{kind.value!r} edge not allowed in {mode.value} mode")
     if edge in seen:
         raise ValueError(f"duplicate edge {src} {kind.value} {dst}")
@@ -124,6 +124,9 @@ class ReputationGraph:
 
     def __setattr__(self, name, value):
         raise AttributeError("ReputationGraph is immutable")
+
+    def __reduce__(self):  # as on Ranking
+        return (ReputationGraph, (self.nodes, self.edges, self.mode))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReputationGraph):
@@ -210,6 +213,12 @@ _MODES_BY_NAME = {m.value: m for m in Mode}
 _KINDS_BY_SIGN = {k.value: k for k in Feedback}
 
 
+def _records(text: str) -> list[tuple[int, list[str]]]:
+    """``(line_no, tokens)`` of every line not blank once its ``#`` comment is cut."""
+    cut = (line.split("#", 1)[0].split() for line in text.splitlines())
+    return [(line_no, tokens) for line_no, tokens in enumerate(cut, start=1) if tokens]
+
+
 def parse_graph(text: str) -> ReputationGraph:
     """Parse edge-list text into a validated ReputationGraph.
 
@@ -222,40 +231,29 @@ def parse_graph(text: str) -> ReputationGraph:
     mode: Mode | None = None
     nodes: set[str] = set()
     edges: set[Edge] = set()
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if mode is None:
-            if len(tokens) != 2 or tokens[0] != "mode":
-                raise ParseError("expected header 'mode positive|negative|combined'", line_no)
-            try:
-                mode = _MODES_BY_NAME[tokens[1]]
-            except KeyError:
-                raise ParseError(f"unknown mode {tokens[1]!r}", line_no) from None
-            continue
-        if len(tokens) == 2 and tokens[0] == "node":
-            name = tokens[1]
-            try:
-                _check_name(name)
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no) from None
-            nodes.add(name)
-            continue
-        if len(tokens) != 3:
-            raise ParseError("expected 'SOURCE SIGN TARGET' or 'node NAME'", line_no)
-        src, sign, dst = tokens
-        try:
-            kind = _KINDS_BY_SIGN[sign]
-        except KeyError:
-            raise ParseError(f"unknown sign {sign!r} (use + or -)", line_no) from None
-        try:
-            _check_edge((src, dst, kind), mode, edges)
-        except (ValueError, ModeError) as exc:
-            raise ParseError(str(exc), line_no) from None
-        nodes.add(src)
-        nodes.add(dst)
+    try:
+        for line_no, tokens in _records(text):
+            if mode is None:
+                if len(tokens) != 2 or tokens[0] != "mode":
+                    raise ValueError("expected header 'mode positive|negative|combined'")
+                mode = _MODES_BY_NAME.get(tokens[1])
+                if mode is None:
+                    raise ValueError(f"unknown mode {tokens[1]!r}")
+            elif len(tokens) == 2 and tokens[0] == "node":
+                _check_name(tokens[1])
+                nodes.add(tokens[1])
+            elif len(tokens) != 3:
+                raise ValueError("expected 'SOURCE SIGN TARGET' or 'node NAME'")
+            else:
+                src, sign, dst = tokens
+                kind = _KINDS_BY_SIGN.get(sign)
+                if kind is None:
+                    raise ValueError(f"unknown sign {sign!r} (use + or -)")
+                _check_edge((src, dst, kind), mode, edges)
+                nodes.add(src)
+                nodes.add(dst)
+    except (ValueError, ModeError) as exc:
+        raise ParseError(str(exc), line_no) from None
     if mode is None:
         raise ParseError("missing 'mode' header")
     if not nodes:

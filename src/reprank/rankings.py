@@ -13,13 +13,18 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     EnumerationCapError,
-    NodeSetMismatchError,
     ParseError,
     UnknownNodeError,
 )
-from .graphs import _check_name
+from .graphs import _check_name, _records
 
 DEFAULT_ENUMERATION_CAP = 8
+
+
+def _check_dense(ranks: Mapping[str, int]) -> None:
+    used = set(ranks.values())
+    if used != set(range(1, len(used) + 1)):
+        raise ValueError("ranks must be dense: exactly the values 1..k")
 
 
 class Ranking:
@@ -39,9 +44,7 @@ class Ranking:
             _check_name(node)
             if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
                 raise ValueError(f"rank of {node!r} must be a positive integer")
-        used = set(ranks.values())
-        if used != set(range(1, len(used) + 1)):
-            raise ValueError("ranks must be dense: exactly the values 1..k")
+        _check_dense(ranks)
         self._fill(dict(ranks))
 
     def _fill(self, ranks: dict[str, int]) -> "Ranking":
@@ -51,6 +54,9 @@ class Ranking:
 
     def __setattr__(self, name, value):
         raise AttributeError("Ranking is immutable")
+
+    def __reduce__(self):  # copy and pickle through __init__, not __setattr__
+        return (Ranking, (self._ranks,))
 
     @classmethod
     def from_levels(cls, levels: Iterable[Iterable[str]]) -> "Ranking":
@@ -122,24 +128,6 @@ def normalize(raw: Mapping[str, int]) -> Ranking:
     return Ranking({node: dense[score] for node, score in raw.items()})
 
 
-def is_refinement(later: Ranking, earlier: Ranking) -> bool:
-    """True iff every strict preference of ``earlier`` survives in ``later``.
-
-    Ties of ``earlier`` may break either way; a reversed strict pair or a
-    newly merged strict pair disqualifies.
-    """
-    if set(later.nodes) != set(earlier.nodes):
-        raise NodeSetMismatchError("rankings cover different node sets")
-    # Strict separation must hold between consecutive earlier levels; it then
-    # chains to all level pairs.
-    for upper, lower in itertools.pairwise(earlier.levels):
-        if max(later.rank_of(n) for n in upper) >= min(
-            later.rank_of(n) for n in lower
-        ):
-            return False
-    return True
-
-
 def enumerate_preorders(
     nodes: Iterable[str], cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[Ranking]:
@@ -194,36 +182,31 @@ def parse_ranking(text: str) -> Ranking:
     and the ranks must be dense positive integers.
     """
     ranks: dict[str, int] = {}
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError("expected 'NAME RANK'", line_no)
-        name, rank_text = tokens
-        try:
+    try:
+        for line_no, tokens in _records(text):
+            if len(tokens) != 2:
+                raise ValueError("expected 'NAME RANK'")
+            name, rank_text = tokens
             _check_name(name)
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no) from None
-        if name in ranks:
-            raise ParseError(f"node {name!r} ranked twice", line_no)
-        # int() would also accept signs, underscores and non-ASCII digits.
-        if not (rank_text.isascii() and rank_text.isdigit()):
-            raise ParseError(
-                f"rank {rank_text!r} must be written with ASCII digits 0-9", line_no
-            )
-        try:
-            rank = int(rank_text)
-        except ValueError:  # longer than the interpreter's integer-string limit
-            message = f"rank of {name!r} is too long ({len(rank_text)} digits)"
-            raise ParseError(message, line_no) from None
-        if rank < 1:
-            raise ParseError(f"rank must be positive, got {rank}", line_no)
-        ranks[name] = rank
+            if name in ranks:
+                raise ValueError(f"node {name!r} ranked twice")
+            # int() would also accept signs, underscores and non-ASCII digits.
+            if not (rank_text.isascii() and rank_text.isdigit()):
+                raise ValueError(f"rank {rank_text!r} must be written with ASCII digits 0-9")
+            try:
+                rank = int(rank_text)
+            except ValueError:  # longer than the interpreter's integer-string limit
+                message = f"rank of {name!r} is too long ({len(rank_text)} digits)"
+                raise ValueError(message) from None
+            if rank < 1:
+                raise ValueError(f"rank must be positive, got {rank}")
+            ranks[name] = rank
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no) from None
     if not ranks:
         raise ParseError("ranking text contains no entries")
     try:
-        return Ranking(ranks)
+        _check_dense(ranks)  # the loop above checked every name and rank
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    return object.__new__(Ranking)._fill(ranks)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -14,6 +16,15 @@ from reprank import Feedback, Mode, Ranking, ReputationGraph
 
 POS = Feedback.POSITIVE
 NEG = Feedback.NEGATIVE
+
+
+# Copy, deep copy and pickle: the three ways a value is duplicated or sent to
+# another process. The immutable types must survive each one.
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
 
 
 # ---------------------------------------------------------------------------

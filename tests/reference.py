@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator, Literal
 
-from reprank import Feedback, Mode, Ranking, ReputationGraph
+from reprank import Feedback, Mode, NodeSetMismatchError, Ranking, ReputationGraph
 from reprank.engine import RefinementTrace, TraceStep
 from reprank.rankings import normalize
 
@@ -130,6 +130,28 @@ def rank_graph(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
         lambda r, u, v: equally_strong(r, sets[u], sets[v]),
         "above" if graph.mode is Mode.POSITIVE_ONLY else "below",
     )
+
+
+# ---------------------------------------------------------------------------
+# refinement
+
+
+def is_refinement(later: Ranking, earlier: Ranking) -> bool:
+    """True iff every strict preference of ``earlier`` survives in ``later``.
+
+    Ties of ``earlier`` may break either way; a reversed strict pair or a
+    newly merged strict pair disqualifies.
+    """
+    if set(later.nodes) != set(earlier.nodes):
+        raise NodeSetMismatchError("rankings cover different node sets")
+    # Strict separation must hold between consecutive earlier levels; it then
+    # chains to all level pairs.
+    for upper, lower in itertools.pairwise(earlier.levels):
+        if max(later.rank_of(n) for n in upper) >= min(
+            later.rank_of(n) for n in lower
+        ):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from conftest import (
     random_graph,
     rank_profile,
 )
+from reference import is_refinement
 from reprank import (
     Axiom,
     CertificateStatus,
@@ -33,7 +34,6 @@ from reprank import (
     certify_vwm_strongly_connected,
     check,
     enumerate_preorders,
-    is_refinement,
     more_important,
     rank_negative,
     rank_positive,

@@ -226,6 +226,13 @@ def test_pair_violates_unknown_node(ranks, vi, vj, missing):
         pair_violates(g, Ranking(ranks), Axiom.T, vi, vj)
 
 
+def test_pair_violates_reads_only_the_pair_and_its_backers():
+    # 'c' is in the graph but not in the ranking; the pair (b, a) never needs it.
+    g = positive_graph([("a", "b")], extra_nodes=("c",))
+    reason = pair_violates(g, Ranking({"a": 1, "b": 1}), Axiom.T, "b", "a")
+    assert reason == "supporters dominate but the node is not ranked strictly higher"
+
+
 def test_node_set_mismatch():
     g = positive_graph([("a", "b")])
     with pytest.raises(NodeSetMismatchError):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 from conftest import (
+    ROUND_TRIPS,
     all_edge_subsets,
     combined_graph,
     negative_graph,
@@ -27,6 +28,7 @@ from reprank import (
     check_all,
     count_satisfying,
     enumerate_preorders,
+    rank_graph,
     rank_positive,
 )
 
@@ -78,6 +80,17 @@ def test_combined_embedding_unsat(triangle_with_supporter):
 
 # ---------------------------------------------------------------------------
 # certificate contract
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+def test_results_survive_copy_and_pickle(round_trip, triangle_with_supporter):
+    # A SAT certificate and a refinement trace both hold Rankings.
+    certificate = certify(triangle_with_supporter, {Axiom.T})
+    assert certificate.status is SAT
+    assert round_trip(certificate) == certificate
+    _, trace = rank_graph(triangle_with_supporter)
+    assert trace.steps
+    assert round_trip(trace) == trace
 
 
 def test_axioms_must_match_mode(triangle_with_supporter):

@@ -28,6 +28,11 @@ NEG_PATH = "mode negative\na - b\nb - c\n"
 TRIANGLE = "mode positive\na + b\nb + c\nc + a\nd + a\n"
 
 
+def _stdin(data: bytes) -> io.TextIOWrapper:
+    """A stand-in for ``sys.stdin``: text over a binary ``buffer``, as the real one is."""
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
 @pytest.fixture
 def write_file(tmp_path):
     def _write(name, content):
@@ -78,7 +83,7 @@ def test_rank_json_with_trace(write_file, capsys):
 
 
 def test_rank_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(POS_PATH))
+    monkeypatch.setattr("sys.stdin", _stdin(POS_PATH.encode()))
     assert main(["rank", "-"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "a 3"
 
@@ -117,13 +122,43 @@ def test_ranking_file_not_utf8_names_file_and_line(tmp_path, capsys):
     assert captured.err == f"error: cannot read {ranking}: line 3: byte 0xe9 is not UTF-8\n"
 
 
+def test_graph_on_stdin_not_utf8_names_stdin_and_line(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", _stdin(b"mode positive\na + b # caf\xff\n"))
+    assert main(["rank", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot read <stdin>: line 2: byte 0xff is not UTF-8\n"
+
+
+def test_ranking_on_stdin_not_utf8_names_stdin_and_line(tmp_path, monkeypatch, capsys):
+    graph = _write_bytes(tmp_path, "g", POS_PATH.encode())
+    monkeypatch.setattr("sys.stdin", _stdin(b"a 3\r\nb 2\n\xe9c 1\n"))
+    assert main(["check", graph, "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot read <stdin>: line 3: byte 0xe9 is not UTF-8\n"
+
+
+def test_closed_stdin_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", None)  # what Python sets when fd 0 is closed
+    assert main(["rank", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot read <stdin>: stdin is closed\n"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text(st.sampled_from("a1 \r\n\u00e9\u2028\x0b#")))
 def test_file_text_is_read_as_text_mode_reads_it(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "file")
         path.write_bytes(text.encode("utf-8"))
-        assert _read_text(str(path)) == path.read_text(encoding="utf-8")
+        from_file = _read_text(str(path))
+        assert from_file == path.read_text(encoding="utf-8")
+    # stdin goes through the same decoding as a file
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("sys.stdin", _stdin(text.encode("utf-8")))
+        assert _read_text("-") == from_file
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +247,17 @@ def test_check_mode_incompatible_axiom_exits_2(write_file, capsys):
 
 def test_check_ranking_from_stdin(write_file, monkeypatch, capsys):
     graph = write_file("g", POS_PATH)
-    monkeypatch.setattr("sys.stdin", io.StringIO("a 3\nb 2\nc 1\n"))
+    monkeypatch.setattr("sys.stdin", _stdin(b"a 3\nb 2\nc 1\n"))
     assert main(["check", graph, "-", "--axioms", "T"]) == 0
 
 
 def test_check_refuses_stdin_for_both_inputs(monkeypatch, capsys):
     class UnreadableStdin:
         def read(self):
+            raise AssertionError("stdin must not be read")
+
+        @property
+        def buffer(self):
             raise AssertionError("stdin must not be read")
 
     monkeypatch.setattr("sys.stdin", UnreadableStdin())
@@ -391,7 +430,7 @@ def test_rank_then_check_round_trip(write_file, monkeypatch, capsys):
         graph_file = write_file(f"g{trial}", g.serialize())
         assert main(["rank", graph_file]) == 0
         ranking_text = capsys.readouterr().out
-        monkeypatch.setattr("sys.stdin", io.StringIO(ranking_text))
+        monkeypatch.setattr("sys.stdin", _stdin(ranking_text.encode()))
         rc = main(["check", graph_file, "-", "--axioms", transitivity[mode]])
         assert capsys.readouterr().out.endswith("pass\n")
         assert rc == 0

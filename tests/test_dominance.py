@@ -19,6 +19,7 @@ from conftest import (
     rank_profile,
     rankings,
 )
+from reference import is_refinement
 from reprank import (
     Mode,
     Ranking,
@@ -26,7 +27,6 @@ from reprank import (
     at_least_as_strong,
     enumerate_preorders,
     equally_strong,
-    is_refinement,
     more_important,
     normalize,
     socially_stronger,

@@ -14,13 +14,13 @@ from conftest import (
     positive_graph,
     random_graph,
 )
+from reference import is_refinement
 from reprank import (
     Axiom,
     Mode,
     ModeError,
     Ranking,
     check,
-    is_refinement,
     rank_combined,
     rank_graph,
     rank_negative,

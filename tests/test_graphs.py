@@ -11,7 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reprank.graphs
-from conftest import NEG, POS, graphs, negative_graph, node_names, positive_graph, random_graph
+from conftest import (
+    NEG,
+    POS,
+    ROUND_TRIPS,
+    graphs,
+    negative_graph,
+    node_names,
+    positive_graph,
+    random_graph,
+)
 from reprank import (
     Axiom,
     Feedback,
@@ -80,6 +89,17 @@ def test_graph_is_immutable_and_hashable():
     assert g == positive_graph([("a", "b")])
     assert hash(g) == hash(positive_graph([("a", "b")]))
     assert g != negative_graph([("a", "b")])
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+def test_graph_survives_copy_and_pickle(round_trip):
+    g = parse_graph("mode combined\na + b\nb - a\nc + a\nnode d\n")
+    again = round_trip(g)
+    assert again == g and hash(again) == hash(g)
+    assert again.serialize() == g.serialize()
+    assert again.support_set("a", NEG) == frozenset({"b"})
+    with pytest.raises(AttributeError, match="immutable"):
+        again.extra = 1
 
 
 @pytest.mark.parametrize("kind", [Feedback, Mode, Axiom])

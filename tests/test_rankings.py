@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import reference
 import reprank.rankings
-from conftest import node_names, preorder_count, rankings
+from conftest import ROUND_TRIPS, node_names, preorder_count, rankings
+from reference import is_refinement
 from reprank import (
     EnumerationCapError,
     NodeSetMismatchError,
@@ -18,7 +19,6 @@ from reprank import (
     Ranking,
     UnknownNodeError,
     enumerate_preorders,
-    is_refinement,
     normalize,
     parse_ranking,
 )
@@ -108,6 +108,16 @@ def test_ranking_immutable_and_hashable():
     with pytest.raises(AttributeError):
         r.extra = 1
     assert hash(r) == hash(Ranking({"a": 1}))
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+def test_ranking_survives_copy_and_pickle(round_trip):
+    r = Ranking({"c": 2, "a": 1, "b": 2})
+    again = round_trip(r)
+    assert again == r and hash(again) == hash(r)
+    assert list(again.as_dict().items()) == list(r.as_dict().items())
+    with pytest.raises(AttributeError, match="immutable"):
+        again.extra = 1
 
 
 def test_rank_of_unknown_node():
