@@ -82,6 +82,7 @@ class AxiomReport:
 # On a negative graph the node ranks are negated and the profiles are not, so
 # BT and BM are T and M with "ranked higher" read as "ranked lower".
 Side = Sequence[Profile]
+Backers = Sequence[frozenset[str]]  # one side's backer sets, by position
 
 
 def _exists_strict_pair(above: Profile, below: Profile) -> bool:
@@ -155,6 +156,55 @@ def _applicable(mode: Mode, axioms: Iterable[Axiom]) -> tuple[Axiom, ...]:
     return tuple(a for a in allowed if a in wanted)
 
 
+class _LazyProfiles(dict):
+    """One side's sorted rank profiles by position, each sorted on first read."""
+
+    def __init__(self, side: Backers, rank: Callable[[str], int]):
+        self.side, self.rank = side, rank
+
+    def __missing__(self, i: int) -> Profile:
+        profile = self[i] = tuple(sorted(map(self.rank, self.side[i])))
+        return profile
+
+
+def _may_violate(axiom: Axiom, good: Backers, bad: Backers, i: int, j: int) -> bool:
+    """False only where no ranking can violate the axiom on (i, j): a strict cover
+    needs a side as large that differs as a set. An M pair with equal sets can fail."""
+    if axiom is Axiom.VWM:
+        return len(good[i]) <= len(good[j]) + 1
+    if axiom is Axiom.TC:
+        sized = len(good[i]) >= len(good[j]) and len(bad[j]) >= len(bad[i])
+        return sized and (good[i], bad[i]) != (good[j], bad[j])
+    if axiom in (Axiom.T, Axiom.BT):
+        return len(good[i]) >= len(good[j]) and good[i] != good[j]
+    return True
+
+
+def _leaf(graph: ReputationGraph, axioms: Iterable[Axiom]) -> Callable[[Ranking], bool]:
+    """The certifier's test of a ranking of the graph's nodes against every
+    requested axiom: one snapshot, profiles sorted on demand, no report."""
+    good, bad = graph._backers[0], graph._backers[-1]
+    pairs = [
+        (_CLAUSES[axiom][0], i, j)
+        for axiom in _applicable(graph.mode, axioms)
+        for i, j in itertools.permutations(range(len(graph.nodes)), 2)
+        if _may_violate(axiom, good, bad, i, j)
+    ]
+    nodes, sign = graph.nodes, -1 if graph.mode is Mode.NEGATIVE_ONLY else 1
+
+    def satisfies(ranking: Ranking) -> bool:
+        ranks = ranking._ranks
+        rank = [sign * ranks[v] for v in nodes]
+        p = _LazyProfiles(good, ranks.__getitem__)
+        q = p if bad is good else _LazyProfiles(bad, ranks.__getitem__)
+        for clause, i, j in pairs:
+            if clause(rank, p, q, i, j):
+                return False
+        return True
+
+    return satisfies
+
+
 def _snapshot(
     graph: ReputationGraph, rank: Callable[[str], int], positions: Sequence[int] | None = None
 ) -> tuple[list[int], Side, Side]:
@@ -184,7 +234,6 @@ def pair_violates(
 
 def check(graph: ReputationGraph, ranking: Ranking, axiom: Axiom) -> AxiomReport:
     """Evaluate one axiom over all ordered pairs of distinct nodes."""
-    # The O(1) test first: certify calls check once per preorder and axiom.
     if axiom not in AXIOMS_BY_MODE[graph.mode]:
         _applicable(graph.mode, (axiom,))
     ranks = ranking._ranks  # read only: a Ranking never changes

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .axioms import Axiom, _applicable, check
+from .axioms import Axiom, _leaf, check
 from .errors import InputError, ModeError
 from .graphs import Mode, ReputationGraph
 from .rankings import DEFAULT_ENUMERATION_CAP, Ranking, enumerate_preorders
@@ -41,25 +41,18 @@ class Certificate:
         return "SAT:\n" + self.witness.serialize().rstrip("\n")
 
 
-def _scan(
-    graph: ReputationGraph, axioms: Iterable[Axiom], cap: int
-) -> Iterator[tuple[Ranking, bool]]:
-    """Each total preorder in enumeration order, with whether it satisfies
-    every requested axiom."""
-    ordered_axioms = _applicable(graph.mode, axioms)
-    for ranking in enumerate_preorders(graph.nodes, cap=cap):
-        yield ranking, all(check(graph, ranking, axiom).passed for axiom in ordered_axioms)
-
-
 def certify(
     graph: ReputationGraph,
     axioms: Iterable[Axiom],
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Certificate:
-    """First satisfying preorder, or UNSAT after scanning all of them."""
-    examined = 0
-    for examined, (ranking, satisfied) in enumerate(_scan(graph, axioms, cap), start=1):
-        if satisfied:
+    """First satisfying preorder, confirmed by ``check``, or UNSAT after all of them."""
+    axioms = tuple(axioms)
+    satisfies, examined = _leaf(graph, axioms), 0
+    for examined, ranking in enumerate(enumerate_preorders(graph.nodes, cap=cap), start=1):
+        if satisfies(ranking):
+            if not all(check(graph, ranking, axiom).passed for axiom in axioms):
+                raise RuntimeError("the leaf check accepted a ranking that check rejects")
             return Certificate(CertificateStatus.SAT, ranking, examined)
     return Certificate(CertificateStatus.UNSAT, None, examined)
 
@@ -70,7 +63,7 @@ def count_satisfying(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> int:
     """How many total preorders satisfy the whole axiom set."""
-    return sum(satisfied for _, satisfied in _scan(graph, axioms, cap))
+    return sum(map(_leaf(graph, axioms), enumerate_preorders(graph.nodes, cap=cap)))
 
 
 def certify_vwm_strongly_connected(

@@ -50,6 +50,12 @@ def _select_axioms(graph: ReputationGraph, raw: str | None) -> tuple[Axiom, ...]
     return tuple(dict.fromkeys(map(Axiom.from_name, names)))
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 _escape = json.encoder.encode_basestring_ascii
 
 
@@ -232,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_certify.add_argument(
         "--cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_ENUMERATION_CAP,
         help="refuse graphs with more nodes than this (default: %(default)s)",
     )

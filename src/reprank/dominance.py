@@ -10,7 +10,7 @@ as an ascending int tuple, by ``_covers``, ``_strictly_covers`` and
 ``_social``. The public functions below, which the engines call, build the
 profiles from node sets and keep a frozenset's until a call with another
 ``Ranking`` object: one sort per backer set and ranking. The axiom checker
-builds each node's profiles once per ranking and calls the primitives.
+sorts each node's profiles at most once per ranking and calls the primitives.
 """
 
 from __future__ import annotations

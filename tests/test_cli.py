@@ -298,6 +298,14 @@ def test_certify_cap_exits_2(write_file, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_certify_cap_below_one_is_a_usage_error(write_file, capsys, cap):
+    assert main(["certify", write_file("g", TRIANGLE), "--cap", cap]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: reprank certify")
+    assert f"error: argument --cap: expected a positive integer, got '{cap}'" in err
+
+
 # ---------------------------------------------------------------------------
 # complement
 
