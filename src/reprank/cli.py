@@ -19,7 +19,7 @@ from .axioms import AXIOMS_BY_MODE, Axiom, AxiomReport, check
 from .certify import CertificateStatus, certify
 from .engine import RefinementTrace, rank_graph
 from .errors import InputError
-from .graphs import ReputationGraph, parse_graph
+from .graphs import ReputationGraph, _lines, parse_graph
 from .rankings import DEFAULT_ENUMERATION_CAP, Ranking, parse_ranking
 
 
@@ -35,7 +35,7 @@ def _read_text(path: str) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # The bad byte opens the line after the last break of the valid prefix.
-        line_no = len(f"{data[: exc.start].decode('utf-8')}.".splitlines())
+        line_no = len(_lines(data[: exc.start].decode("utf-8")))
         bad = f"byte 0x{data[exc.start]:02x}"
         raise InputError(f"cannot read {name}: line {line_no}: {bad} is not UTF-8") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")  # newlines as text mode reads them

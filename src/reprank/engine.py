@@ -59,7 +59,7 @@ def _refine(
     levelmate and no levelmate dominates it; one exists whenever any
     levelmate dominates another. Each step splits the level of the
     lex-smallest eligible agent at its lex-smallest dominated levelmate.
-    Nodes are indices in name order, so these are the smallest indices.
+    Nodes are indices in name order, so one walk over them finds both.
 
     A split keeps all other ranks in order, so a comparison can change only
     if the backers it reads have ranks in both new levels. Cached results
@@ -92,8 +92,10 @@ def _refine(
             result = known[key] = stronger(u, v)
         return result
 
-    def scan(level: list[int]) -> tuple[int, int] | None:
-        for vi in level:
+    def split_at() -> tuple[int, int] | None:
+        ranks = current._ranks
+        for vi in range(n):
+            level = levels[ranks[names[vi]] - 1]
             witness = next((vj for vj in level if vj != vi and beats(vi, vj)), None)
             if witness is not None and not any(
                 beats(vs, vi) for vs in level if vs != vi
@@ -102,14 +104,11 @@ def _refine(
         return None
 
     steps: list[TraceStep] = []
-    while True:
-        picked = [s for s in map(scan, levels) if s is not None]
-        if not picked:
-            break
+    while (found := split_at()) is not None:
         if len(steps) >= n - 1:
             raise RuntimeError("refinement exceeded the |V| - 1 iteration bound")
-        chosen, witness = min(picked)
-        k = current.rank_of(names[chosen]) - 1
+        chosen, witness = found
+        k = current._ranks[names[chosen]] - 1
         tied = levels[k]
         moved = [v for v in tied if v == chosen or same(chosen, v)]
         left_behind = [v for v in tied if v not in moved]
@@ -119,7 +118,7 @@ def _refine(
         smaller = moved if len(moved) <= len(left_behind) else left_behind
         touched = {d for s in smaller for d in graph._dependents[s]}
         for d in touched:
-            for x in levels[current.rank_of(names[d]) - 1]:
+            for x in levels[current._ranks[names[d]] - 1]:
                 known.pop(d * n + x, None)
                 known.pop(x * n + d, None)
         steps.append(

@@ -213,9 +213,14 @@ _MODES_BY_NAME = {m.value: m for m in Mode}
 _KINDS_BY_SIGN = {k.value: k for k in Feedback}
 
 
+def _lines(text: str) -> list[str]:
+    r"""Lines ended by ``\n``, ``\r\n`` or ``\r`` only, not every ``str.splitlines`` break."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _records(text: str) -> list[tuple[int, list[str]]]:
     """``(line_no, tokens)`` of every line not blank once its ``#`` comment is cut."""
-    cut = (line.split("#", 1)[0].split() for line in text.splitlines())
+    cut = (line.split("#", 1)[0].split() for line in _lines(text))
     return [(line_no, tokens) for line_no, tokens in enumerate(cut, start=1) if tokens]
 
 

@@ -134,9 +134,11 @@ def enumerate_preorders(
     """Yield every total preorder over ``nodes`` exactly once.
 
     Rankings come out as ordered set partitions built block-by-block in
-    lexicographic node order, so the stream is deterministic. Node sets
-    larger than ``cap`` and invalid names are refused up front.
+    lexicographic node order, so the stream is deterministic. A cap below 1,
+    node sets larger than ``cap`` and invalid names are refused up front.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be a positive integer, got {cap}")
     ordered = tuple(sorted(set(nodes)))
     if not ordered:
         raise ValueError("cannot enumerate preorders over an empty node set")

@@ -116,6 +116,17 @@ def test_cap_is_enforced():
         certify(three, {Axiom.T}, cap=2)
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_cap_below_one_is_refused(cap):
+    one = positive_graph([], extra_nodes=["a"])
+    message = f"cap must be a positive integer, got {cap}"
+    for run in (certify, count_satisfying):
+        with pytest.raises(ValueError) as info:
+            run(one, [Axiom.T], cap=cap)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+
 def test_empty_axiom_set_is_sat_immediately(triangle_with_supporter):
     cert = certify(triangle_with_supporter, set())
     assert cert.status is SAT

@@ -122,6 +122,15 @@ def test_ranking_file_not_utf8_names_file_and_line(tmp_path, capsys):
     assert captured.err == f"error: cannot read {ranking}: line 3: byte 0xe9 is not UTF-8\n"
 
 
+def test_not_utf8_line_counts_only_real_line_ends(tmp_path, capsys):
+    # The form feed on line 2 does not end a line; the bad byte is on line 3.
+    graph = _write_bytes(tmp_path, "g", b"mode positive\n# a\fb\n\xffc + a\n")
+    assert main(["rank", graph]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {graph}: line 3: byte 0xff is not UTF-8\n"
+
+
 def test_graph_on_stdin_not_utf8_names_stdin_and_line(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", _stdin(b"mode positive\na + b # caf\xff\n"))
     assert main(["rank", "-"]) == 2

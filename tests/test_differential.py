@@ -87,6 +87,11 @@ def test_engine_matches_reference_on_seeded_graphs(mode):
     sizes = (2, 3, 5, 8, 13, 21, 30) if combined else (2, 4, 7, 12, 20, 35, 50)
     for graph in seeded_graphs(mode, 40, sizes):
         assert_engine_agrees(graph)
+    if not combined:
+        # Larger graphs with average in-degree 4, from their own seed so the draws above stay.
+        rng = random.Random(f"differential-large-{mode.value}")
+        for n in (80, 120, 80):
+            assert_engine_agrees(random_graph(rng, n, 4 / n, mode))
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)

@@ -301,6 +301,14 @@ def test_parse_isolated_nodes_comments_and_blanks():
     assert g.support_set("b") == {"a"}
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_parse_ends_lines_at_lf_crlf_and_cr(end):
+    text = end.join(["mode positive", "a + b", "", "node z", ""])
+    assert parse_graph(text) == parse_graph("mode positive\na + b\nnode z\n")
+    with pytest.raises(ParseError, match="^line 4: self-loop"):
+        parse_graph(end.join(["mode positive", "", "a + b", "b + b"]))
+
+
 def test_parse_self_loop_reports_line():
     with pytest.raises(ParseError, match="line 2.*self-loop"):
         parse_graph("mode positive\na + a\n")

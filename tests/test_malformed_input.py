@@ -13,6 +13,18 @@ import pytest
 from reprank import ParseError, parse_graph, parse_ranking
 from reprank.cli import main
 
+NOT_LINE_ENDS = {
+    "vertical tab": "\v",
+    "form feed": "\f",
+    "file separator": "\x1c",
+    "group separator": "\x1d",
+    "record separator": "\x1e",
+    "next line": "\x85",
+    "line separator": "\u2028",
+    "paragraph separator": "\u2029",
+}
+WRONG_GRAPH_LINE = "expected 'SOURCE SIGN TARGET' or 'node NAME'"
+
 GRAPH_ROWS = [
     ("empty text", "", "missing 'mode' header", None),
     ("comments only", "# a graph\n\n", "missing 'mode' header", None),
@@ -32,6 +44,17 @@ GRAPH_ROWS = [
     ("duplicate edge", "mode combined\na + b\na - b\na + b\n", "duplicate edge a + b", 4),
     ("no nodes", "mode positive\n", "graph has no nodes", None),
     ("no nodes, combined", "mode combined\n# nothing yet\n", "graph has no nodes", None),
+    # Lines end only at \n, \r\n and \r, not at every str.splitlines break.
+    (
+        "form feed in a comment",
+        "mode positive\n# note\f\nbad line here\n",
+        "unknown sign 'line' (use + or -)",
+        3,
+    ),
+    *[
+        (f"{name} inside a line", f"mode positive\na + b{char}c + d\n", WRONG_GRAPH_LINE, 2)
+        for name, char in NOT_LINE_ENDS.items()
+    ],
 ]
 
 RANKING_ROWS = [
@@ -46,6 +69,10 @@ RANKING_ROWS = [
     ("rank zero", "a 1\nb 0\n", "rank must be positive, got 0", 2),
     ("non-dense ranks", "a 1\nb 3\n", "ranks must be dense: exactly the values 1..k", None),
     ("huge rank", f"a 1\nb {'1' * 5000}\n", "rank of 'b' is too long (5000 digits)", 2),
+    *[
+        (f"{name} inside a line", f"a 1{char}b 2\n", "expected 'NAME RANK'", 1)
+        for name, char in NOT_LINE_ENDS.items()
+    ],
 ]
 
 GRAPH = "mode positive\na + b\n"

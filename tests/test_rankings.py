@@ -219,6 +219,16 @@ def test_enumeration_cap():
         next(enumerate_preorders("abc", cap=2))
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_enumeration_refuses_a_cap_below_one_before_any_other_check(cap):
+    # An empty or invalid node set would be refused too; the cap is named first.
+    for nodes in ("a", [], ["bad name"]):
+        with pytest.raises(ValueError) as info:
+            next(enumerate_preorders(nodes, cap=cap))
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"cap must be a positive integer, got {cap}"
+
+
 def test_enumeration_rejects_empty_node_set():
     with pytest.raises(ValueError):
         next(enumerate_preorders([]))
