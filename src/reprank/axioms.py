@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .dominance import Profile, _profiles, _social, _strictly_covers
+from .dominance import Profile, _social, _strictly_covers
 from .errors import ModeError, NodeSetMismatchError, UnknownNodeError
 from .graphs import Mode, ReputationGraph
 from .rankings import Ranking
@@ -214,7 +214,7 @@ def _snapshot(
     if positions is not None:
         names = [names[i] for i in positions]
         sides = [[side[i] for i in positions] for side in sides]
-    profiles = [_profiles(rank, side) for side in sides]
+    profiles = [[tuple(sorted(map(rank, group))) for group in side] for side in sides]
     sign = -1 if graph.mode is Mode.NEGATIVE_ONLY else 1
     return [sign * rank(v) for v in names], profiles[0], profiles[-1]
 

@@ -51,9 +51,10 @@ def _select_axioms(graph: ReputationGraph, raw: str | None) -> tuple[Axiom, ...]
 
 
 def _positive_int(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
+    digits = text.strip()  # int() would also take signs, underscores and non-ASCII digits
+    if not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+    return int(digits)
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -201,56 +202,39 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default="text",
-            help="output rendering (default: text)",
-        )
-
-    p_rank = sub.add_parser("rank", help="rank a reputation graph")
-    p_rank.add_argument("graph", help="edge-list file, or - for stdin")
-    p_rank.add_argument(
+    for name, help_text, handler in (
+        ("rank", "rank a reputation graph", cmd_rank),
+        ("check", "check a ranking against axioms", cmd_check),
+        ("certify", "exhaustively test whether any ranking satisfies the axioms", cmd_certify),
+        ("complement", "negative complement of a positive graph", cmd_complement),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("graph", help="edge-list file, or - for stdin")
+        command.set_defaults(handler=handler)
+    sub.choices["rank"].add_argument(
         "--trace", action="store_true", help="show each refinement iteration"
     )
-    add_format(p_rank)
-    p_rank.set_defaults(handler=cmd_rank)
-
-    p_check = sub.add_parser("check", help="check a ranking against axioms")
-    p_check.add_argument("graph", help="edge-list file, or - for stdin")
-    p_check.add_argument("ranking", help="ranking file (NAME RANK lines), or - for stdin")
-    p_check.add_argument(
-        "--axioms",
-        help="comma-separated axiom names (default: all for the graph's mode)",
+    sub.choices["check"].add_argument(
+        "ranking", help="ranking file (NAME RANK lines), or - for stdin"
     )
-    add_format(p_check)
-    p_check.set_defaults(handler=cmd_check)
-
-    p_certify = sub.add_parser(
-        "certify", help="exhaustively test whether any ranking satisfies the axioms"
-    )
-    p_certify.add_argument("graph", help="edge-list file, or - for stdin")
-    p_certify.add_argument(
-        "--axioms",
-        help="comma-separated axiom names (default: all for the graph's mode)",
-    )
-    p_certify.add_argument(
+    for name in ("check", "certify"):
+        sub.choices[name].add_argument(
+            "--axioms",
+            help="comma-separated axiom names (default: all for the graph's mode)",
+        )
+    sub.choices["certify"].add_argument(
         "--cap",
         type=_positive_int,
         default=DEFAULT_ENUMERATION_CAP,
         help="refuse graphs with more nodes than this (default: %(default)s)",
     )
-    add_format(p_certify)
-    p_certify.set_defaults(handler=cmd_certify)
-
-    p_comp = sub.add_parser(
-        "complement", help="negative complement of a positive graph"
-    )
-    p_comp.add_argument("graph", help="edge-list file, or - for stdin")
-    add_format(p_comp)
-    p_comp.set_defaults(handler=cmd_complement)
+    for command in sub.choices.values():  # last: help lists options in the order added
+        command.add_argument(
+            "--format",
+            choices=("text", "json"),
+            default="text",
+            help="output rendering (default: text)",
+        )
 
     return parser
 
@@ -262,8 +246,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
+        return 0 if exc.code == 0 else 2
     try:
         code = args.handler(args)
         sys.stdout.flush()

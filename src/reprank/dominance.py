@@ -16,7 +16,7 @@ sorts each node's profiles at most once per ranking and calls the primitives.
 from __future__ import annotations
 
 from operator import eq, le
-from typing import AbstractSet, Callable, Iterable
+from typing import AbstractSet, Callable
 
 from .errors import UnknownNodeError
 from .graphs import Feedback, ReputationGraph
@@ -24,13 +24,6 @@ from .rankings import Ranking
 
 Profile = tuple[int, ...]
 _memo: tuple[Ranking | None, dict[frozenset[str], Profile]] = (None, {})  # see _pair
-
-
-def _profiles(
-    rank: Callable[[object], int], groups: Iterable[Iterable[object]]
-) -> list[Profile]:
-    """Sorted rank profile of each group, with ``rank`` giving a member's rank."""
-    return [tuple(sorted(map(rank, group))) for group in groups]
 
 
 def _profile(known: dict, rank: Callable[[str], int], group: AbstractSet[str]) -> Profile:

@@ -47,7 +47,8 @@ Edge = tuple[str, str, Feedback]
 def _check_name(name: str) -> None:
     # One non-empty whitespace-free token; '#' starts a comment in both text
     # formats, so a name holding one could not be written back as text.
-    if not (name.split() == [name] and name.isprintable() and "#" not in name):
+    ok = isinstance(name, str) and name.split() == [name] and name.isprintable()
+    if not ok or "#" in name:
         raise ValueError(f"invalid node name {name!r}")
 
 
@@ -156,6 +157,9 @@ class ReputationGraph:
             raise ValueError("combined graphs need an explicit feedback kind")
         try:
             backers = self._backers[0] if kind is None else self._incoming[kind]
+        except KeyError:
+            raise ValueError(f"unknown feedback kind {kind!r}") from None
+        try:
             return backers[self._index[node]]
         except KeyError:
             raise UnknownNodeError(f"unknown node: {node!r}") from None

@@ -307,7 +307,7 @@ def test_certify_cap_exits_2(write_file, capsys):
     assert "cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cap", ["-1", "0"])
+@pytest.mark.parametrize("cap", ["-1", "0", "٨", "３"])
 def test_certify_cap_below_one_is_a_usage_error(write_file, capsys, cap):
     assert main(["certify", write_file("g", TRIANGLE), "--cap", cap]) == 2
     err = capsys.readouterr().err
@@ -430,6 +430,87 @@ def test_usage_errors_exit_2():
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "rank" in capsys.readouterr().out
+
+
+HELP_SCREENS = {
+    "": """\
+usage: reprank [-h] {rank,check,certify,complement} ...
+
+Axiomatic social rankings over reputation graphs: compute rankings, check them
+against axioms, and certify axiom satisfiability exhaustively.
+
+positional arguments:
+  {rank,check,certify,complement}
+    rank                rank a reputation graph
+    check               check a ranking against axioms
+    certify             exhaustively test whether any ranking satisfies the
+                        axioms
+    complement          negative complement of a positive graph
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "rank": """\
+usage: reprank rank [-h] [--trace] [--format {text,json}] graph
+
+positional arguments:
+  graph                 edge-list file, or - for stdin
+
+options:
+  -h, --help            show this help message and exit
+  --trace               show each refinement iteration
+  --format {text,json}  output rendering (default: text)
+""",
+    "check": """\
+usage: reprank check [-h] [--axioms AXIOMS] [--format {text,json}]
+                     graph ranking
+
+positional arguments:
+  graph                 edge-list file, or - for stdin
+  ranking               ranking file (NAME RANK lines), or - for stdin
+
+options:
+  -h, --help            show this help message and exit
+  --axioms AXIOMS       comma-separated axiom names (default: all for the
+                        graph's mode)
+  --format {text,json}  output rendering (default: text)
+""",
+    "certify": """\
+usage: reprank certify [-h] [--axioms AXIOMS] [--cap CAP]
+                       [--format {text,json}]
+                       graph
+
+positional arguments:
+  graph                 edge-list file, or - for stdin
+
+options:
+  -h, --help            show this help message and exit
+  --axioms AXIOMS       comma-separated axiom names (default: all for the
+                        graph's mode)
+  --cap CAP             refuse graphs with more nodes than this (default: 8)
+  --format {text,json}  output rendering (default: text)
+""",
+    "complement": """\
+usage: reprank complement [-h] [--format {text,json}] graph
+
+positional arguments:
+  graph                 edge-list file, or - for stdin
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output rendering (default: text)
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP_SCREENS, ids=lambda c: c or "reprank")
+def test_help_screens_are_byte_identical(monkeypatch, capsys, command):
+    # argparse lists arguments in the order they were added and wraps at the
+    # terminal width, so this pins both the argument order and the wording.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"] if command else ["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (HELP_SCREENS[command], "")
 
 
 def test_rank_then_check_round_trip(write_file, monkeypatch, capsys):

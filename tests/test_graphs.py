@@ -144,6 +144,14 @@ def test_support_set_unknown_node():
         g.support_set("zz")
 
 
+def test_support_set_names_a_bad_kind_not_a_valid_node():
+    g = parse_graph("mode positive\na + b\n")
+    with pytest.raises(ValueError, match=r"^unknown feedback kind '\+'$"):
+        g.support_set("a", "+")
+    with pytest.raises(UnknownNodeError, match=r"^unknown node: 'zz'$"):
+        g.support_set("zz", Feedback.POSITIVE)
+
+
 def test_support_set_of_multi_backed_node(triangle_with_supporter):
     assert triangle_with_supporter.support_set("a") == {"c", "d"}
 

@@ -1,4 +1,5 @@
-"""The runtime package imports nothing outside the standard library."""
+"""The runtime package imports nothing outside the standard library, and no
+name that it never uses."""
 
 from __future__ import annotations
 
@@ -33,3 +34,25 @@ def test_imports_only_the_standard_library(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     outside = [m for m in _imported_modules(tree) if m not in sys.stdlib_module_names]
     assert outside == [], f"{path.name} imports {outside}"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import that the module never reads; a ``__future__``
+    import is a compiler directive, not a name."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda path: path.name
+)
+def test_imports_only_names_it_uses(path):
+    # __init__.py imports to re-export, so its names are read by the package's users.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _unused_imports(tree) == [], f"{path.name} imports names it never uses"

@@ -14,9 +14,11 @@ from conftest import ROUND_TRIPS, node_names, preorder_count, rankings
 from reference import is_refinement
 from reprank import (
     EnumerationCapError,
+    Mode,
     NodeSetMismatchError,
     ParseError,
     Ranking,
+    ReputationGraph,
     UnknownNodeError,
     enumerate_preorders,
     normalize,
@@ -341,6 +343,21 @@ def test_ranking_rejects_names_that_cannot_round_trip(name):
         Ranking({name: 1, "c": 2})
     with pytest.raises(ValueError, match="invalid node name"):
         Ranking.from_levels([[name], ["c"]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Ranking({1: 1}),
+        lambda: Ranking.from_levels([[1]]),
+        lambda: ReputationGraph([1], [], Mode.POSITIVE_ONLY),
+        lambda: next(enumerate_preorders([1, 2])),
+    ],
+    ids=["Ranking", "from_levels", "ReputationGraph", "enumerate_preorders"],
+)
+def test_a_name_that_is_not_a_str_is_a_value_error(build):
+    with pytest.raises(ValueError, match=r"^invalid node name 1$"):
+        build()
 
 
 def test_parse_ranking_rejects_unprintable_names_with_line_number():
