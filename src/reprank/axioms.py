@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .dominance import Profile, _social, _strictly_covers
+from .dominance import Profile, _social
 from .errors import ModeError, NodeSetMismatchError, UnknownNodeError
 from .graphs import Mode, ReputationGraph
 from .rankings import Ranking
@@ -77,10 +77,10 @@ class AxiomReport:
         return f"{self.axiom.value} fail [witness: ({w.vi},{w.vj}) {w.reason}]"
 
 
-# Clauses read node ranks and their sorted rank profiles on the compared
-# sides, indexed alike: the graph's single polarity, or supporters and accusers.
-# On a negative graph the node ranks are negated and the profiles are not, so
-# BT and BM are T and M with "ranked higher" read as "ranked lower".
+# Clauses read node ranks and the sorted rank profiles of supporters (good)
+# and accusers (bad), indexed alike. A single-polarity graph's side is good,
+# with no bad backers, so T and M are Tc and Mc. A negative graph negates the
+# node ranks, not the profiles: BT and BM read "ranked higher" as "lower".
 Side = Sequence[Profile]
 Backers = Sequence[frozenset[str]]  # one side's backer sets, by position
 
@@ -89,33 +89,21 @@ def _exists_strict_pair(above: Profile, below: Profile) -> bool:
     return bool(above) and bool(below) and above[0] < below[-1]
 
 
-def _violates_t(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> bool:
-    return rank[i] >= rank[j] and _strictly_covers(p[i], p[j])
-
-
-def _violates_m(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> bool:
-    return (
-        rank[i] < rank[j]
-        and not _strictly_covers(p[i], p[j])
-        and not _exists_strict_pair(p[i], p[j])
-    )
-
-
-def _violates_vwm(rank: Sequence[int], p: Side, _: Side, i: int, j: int) -> bool:
-    return len(p[i]) <= len(p[j]) + 1 and _violates_m(rank, p, _, i, j)
-
-
-def _violates_tc(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> bool:
+def _violates_t(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> bool:
     return rank[i] >= rank[j] and _social(good[i], bad[i], good[j], bad[j])
 
 
-def _violates_mc(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> bool:
+def _violates_m(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> bool:
     return (
         rank[i] < rank[j]
         and not _social(good[i], bad[i], good[j], bad[j])
         and not _exists_strict_pair(good[i], good[j])
         and not _exists_strict_pair(bad[j], bad[i])
     )
+
+
+def _violates_vwm(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> bool:
+    return len(good[i]) <= len(good[j]) + 1 and _violates_m(rank, good, bad, i, j)
 
 
 PairCheck = Callable[[Sequence[int], Side, Side, int, int], bool]
@@ -136,9 +124,9 @@ _CLAUSES: dict[Axiom, tuple[PairCheck, str]] = {
         "ranked strictly lower without accuser dominance and no accuser "
         "outranks any accuser of the higher node",
     ),
-    Axiom.TC: (_violates_tc, "socially stronger but the node is not ranked strictly higher"),
+    Axiom.TC: (_violates_t, "socially stronger but the node is not ranked strictly higher"),
     Axiom.MC: (
-        _violates_mc,
+        _violates_m,
         "ranked strictly higher without being socially stronger and with "
         "neither a supporter-side nor an accuser-side witness",
     ),
@@ -146,12 +134,14 @@ _CLAUSES: dict[Axiom, tuple[PairCheck, str]] = {
 
 
 def _applicable(mode: Mode, axioms: Iterable[Axiom]) -> tuple[Axiom, ...]:
-    """The requested axioms in the mode's fixed order; ModeError names the
-    first one, in the order given, that does not apply to the mode."""
+    """The requested axioms in the mode's fixed order. The first one given that is
+    not an Axiom is a ValueError; one that does not apply is a ModeError."""
     allowed = AXIOMS_BY_MODE[mode]
     wanted = tuple(axioms)
     for axiom in wanted:
         if axiom not in allowed:
+            if not isinstance(axiom, Axiom):
+                raise ValueError(f"expected an Axiom, got {axiom!r}")
             raise ModeError(f"axiom {axiom.value} does not apply to {mode.value} graphs")
     return tuple(a for a in allowed if a in wanted)
 
@@ -191,12 +181,13 @@ def _leaf(graph: ReputationGraph, axioms: Iterable[Axiom]) -> Callable[[Ranking]
         if _may_violate(axiom, good, bad, i, j)
     ]
     nodes, sign = graph.nodes, -1 if graph.mode is Mode.NEGATIVE_ONLY else 1
+    unbacked = [()] * len(nodes)  # the missing side: a lazy one would cost a call per read
 
     def satisfies(ranking: Ranking) -> bool:
         ranks = ranking._ranks
         rank = [sign * ranks[v] for v in nodes]
         p = _LazyProfiles(good, ranks.__getitem__)
-        q = p if bad is good else _LazyProfiles(bad, ranks.__getitem__)
+        q = unbacked if bad is good else _LazyProfiles(bad, ranks.__getitem__)
         for clause, i, j in pairs:
             if clause(rank, p, q, i, j):
                 return False
@@ -215,8 +206,10 @@ def _snapshot(
         names = [names[i] for i in positions]
         sides = [[side[i] for i in positions] for side in sides]
     profiles = [[tuple(sorted(map(rank, group))) for group in side] for side in sides]
+    if len(profiles) == 1:  # a single polarity: no backer on the other side
+        profiles.append([()] * len(names))
     sign = -1 if graph.mode is Mode.NEGATIVE_ONLY else 1
-    return [sign * rank(v) for v in names], profiles[0], profiles[-1]
+    return [sign * rank(v) for v in names], profiles[0], profiles[1]
 
 
 def pair_violates(
@@ -234,8 +227,7 @@ def pair_violates(
 
 def check(graph: ReputationGraph, ranking: Ranking, axiom: Axiom) -> AxiomReport:
     """Evaluate one axiom over all ordered pairs of distinct nodes."""
-    if axiom not in AXIOMS_BY_MODE[graph.mode]:
-        _applicable(graph.mode, (axiom,))
+    _applicable(graph.mode, (axiom,))
     ranks = ranking._ranks  # read only: a Ranking never changes
     if ranks.keys() != graph._index.keys():
         missing = sorted(graph._index.keys() - ranks.keys())

@@ -57,11 +57,12 @@ def _strictly_covers(a: Profile, b: Profile) -> bool:
 
 
 def _social(good_u: Profile, bad_u: Profile, good_v: Profile, bad_v: Profile) -> bool:
-    """u's supporters cover v's, v's accusers cover u's, and one side differs."""
+    """u's supporters cover v's, v's accusers cover u's, and one side differs.
+    Equal accusers (all empty on a single-polarity graph) cover without a call."""
     return (
         (good_u != good_v or bad_u != bad_v)
         and _covers(good_u, good_v)
-        and _covers(bad_v, bad_u)
+        and (bad_u == bad_v or _covers(bad_v, bad_u))
     )
 
 

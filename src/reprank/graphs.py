@@ -61,6 +61,8 @@ def _check_edge(edge: Edge, mode: Mode, seen: set[Edge]) -> None:
     if src == dst:
         raise ValueError(f"self-loop on {src!r}")
     if kind not in _KINDS_BY_MODE[mode]:  # the property would add a Python call per edge
+        if not isinstance(kind, Feedback):
+            raise ValueError(f"unknown feedback kind {kind!r}")
         raise ModeError(f"{kind.value!r} edge not allowed in {mode.value} mode")
     if edge in seen:
         raise ValueError(f"duplicate edge {src} {kind.value} {dst}")
@@ -84,6 +86,8 @@ class ReputationGraph:
     # ``_dependents`` holds the positions each position backs, of either kind.
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[Edge], mode: Mode):
+        if mode not in _KINDS_BY_MODE:
+            raise ValueError(f"unknown mode {mode!r}")
         node_list = list(nodes)
         node_set = set(node_list)
         if not node_set:

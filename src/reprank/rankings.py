@@ -61,19 +61,18 @@ class Ranking:
     @classmethod
     def from_levels(cls, levels: Iterable[Iterable[str]]) -> "Ranking":
         """Build a ranking from importance levels, most important first."""
+        levels = [list(level) for level in levels]
+        if not all(levels):  # the level structure is checked before any name
+            raise ValueError("levels must be non-empty")
         ranks: dict[str, int] = {}
-        for rank, level in enumerate(levels, start=1):
-            members = list(level)
-            if not members:
-                raise ValueError("levels must be non-empty")
+        for rank, members in enumerate(levels, start=1):
             for node in members:
+                _check_name(node)  # before hashing it
                 if node in ranks:
                     raise ValueError(f"node {node!r} appears in two levels")
                 ranks[node] = rank
         if not ranks:
             raise ValueError("a ranking needs at least one node")
-        for node in ranks:
-            _check_name(node)
         return object.__new__(cls)._fill(ranks)
 
     @property
@@ -139,6 +138,9 @@ def enumerate_preorders(
     """
     if cap < 1:
         raise ValueError(f"cap must be a positive integer, got {cap}")
+    nodes = list(nodes)
+    for name in nodes:  # before sorting or hashing them
+        _check_name(name)
     ordered = tuple(sorted(set(nodes)))
     if not ordered:
         raise ValueError("cannot enumerate preorders over an empty node set")
@@ -146,8 +148,6 @@ def enumerate_preorders(
         raise EnumerationCapError(
             f"{len(ordered)} nodes exceeds the enumeration cap of {cap}"
         )
-    for name in ordered:
-        _check_name(name)
     for levels in _ordered_partitions(ordered):
         ranks = {node: rank for rank, level in enumerate(levels, start=1) for node in level}
         yield object.__new__(Ranking)._fill(ranks)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     graph_with_ranking,
     negative_graph,
     positive_graph,
+    random_graph,
 )
 from reprank import (
     AXIOMS_BY_MODE,
@@ -22,11 +24,15 @@ from reprank import (
     ModeError,
     NodeSetMismatchError,
     Ranking,
+    ReputationGraph,
     UnknownNodeError,
+    certify,
     check,
     check_all,
+    count_satisfying,
     enumerate_preorders,
     more_important,
+    normalize,
     pair_violates,
 )
 
@@ -208,6 +214,46 @@ def test_axiom_mode_mismatch():
         check(g, Ranking({"a": 1, "b": 2}), Axiom.BT)
     with pytest.raises(ModeError):
         pair_violates(g, Ranking({"a": 1, "b": 2}), Axiom.BT, "a", "b")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g, r: check(g, r, "T"),
+        lambda g, r: pair_violates(g, r, "T", "a", "b"),
+        lambda g, r: certify(g, ["T"]),
+        lambda g, r: count_satisfying(g, [Axiom.M, "T"]),
+    ],
+    ids=["check", "pair_violates", "certify", "count_satisfying"],
+)
+def test_an_axiom_that_is_not_an_axiom_is_a_value_error(run):
+    g = positive_graph([("a", "b")])
+    with pytest.raises(ValueError) as info:
+        run(g, Ranking({"a": 1, "b": 2}))
+    assert type(info.value) is ValueError
+    assert str(info.value) == "expected an Axiom, got 'T'"
+
+
+def _witness_pair(report):
+    return None if report.passed else (report.witness.vi, report.witness.vj)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_t_and_m_are_tc_and_mc_without_accusers(n):
+    # A combined graph with no negative edge: "socially stronger" is "more
+    # important", so Tc and Mc decide as T and M do, on the same witness pair.
+    # The checker's twin of the engine's combined-without-accusers test.
+    rng = random.Random(f"tc-without-accusers-{n}")
+    outcomes = set()
+    for _ in range(300):
+        g = random_graph(rng, n, rng.choice((0.2, 0.4, 0.6)), Mode.POSITIVE_ONLY)
+        combined = ReputationGraph(g.nodes, g.edges, Mode.COMBINED)
+        r = normalize({v: rng.randint(1, n) for v in g.nodes})
+        for single, mixed in ((Axiom.T, Axiom.TC), (Axiom.M, Axiom.MC)):
+            report = check(g, r, single)
+            assert _witness_pair(check(combined, r, mixed)) == _witness_pair(report)
+            outcomes.add((single, report.passed))
+    assert len(outcomes) == 4  # each axiom both passed and failed
 
 
 @pytest.mark.parametrize(

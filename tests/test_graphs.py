@@ -62,6 +62,24 @@ def test_kind_must_match_mode():
         ReputationGraph(["a", "b"], [("a", "b", POS)], Mode.NEGATIVE_ONLY)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: ReputationGraph(["a", "b"], [("a", "b", "+")], Mode.POSITIVE_ONLY),
+            "unknown feedback kind '+'",
+        ),
+        (lambda: ReputationGraph(["a"], [], "positive"), "unknown mode 'positive'"),
+    ],
+    ids=["kind", "mode"],
+)
+def test_constructor_names_a_kind_or_mode_that_is_not_one(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 def test_duplicate_edges_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         ReputationGraph(

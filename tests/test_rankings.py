@@ -360,6 +360,21 @@ def test_a_name_that_is_not_a_str_is_a_value_error(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: next(enumerate_preorders([1, "a"])), "invalid node name 1"),
+        (lambda: Ranking.from_levels([["a"], [["b"]]]), "invalid node name ['b']"),
+    ],
+    ids=["enumerate_preorders", "from_levels"],
+)
+def test_a_name_is_checked_before_it_is_sorted_or_hashed(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 def test_parse_ranking_rejects_unprintable_names_with_line_number():
     with pytest.raises(ParseError, match="line 2: invalid node name"):
         parse_ranking("a 1\nb\x00 2\n")
