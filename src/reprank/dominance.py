@@ -100,12 +100,15 @@ def socially_stronger(
 
     u is socially stronger than v iff u's accusers are less reliable than or
     equal to v's, u's supporters are more important than or equal to v's,
-    and at least one of the two comparisons is strict.
+    and at least one of the two comparisons is strict. The supporters are
+    read only once the accusers pass, and compared for equality only when
+    the accusers were strict.
     """
-    good_u, good_v = (graph.support_set(n, Feedback.POSITIVE) for n in (u, v))
     bad_u, bad_v = (graph.support_set(n, Feedback.NEGATIVE) for n in (u, v))
     bad_strict = more_important(ranking, bad_v, bad_u)
-    bad_ok = bad_strict or equally_strong(ranking, bad_u, bad_v)
-    good_strict = more_important(ranking, good_u, good_v)
-    good_ok = good_strict or equally_strong(ranking, good_u, good_v)
-    return bad_ok and good_ok and (bad_strict or good_strict)
+    if not (bad_strict or equally_strong(ranking, bad_u, bad_v)):
+        return False
+    good_u, good_v = (graph.support_set(n, Feedback.POSITIVE) for n in (u, v))
+    if more_important(ranking, good_u, good_v):
+        return True
+    return bad_strict and equally_strong(ranking, good_u, good_v)

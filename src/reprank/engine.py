@@ -62,16 +62,20 @@ def _refine(
     Nodes are indices in name order, so one walk over them finds both.
 
     A split keeps all other ranks in order, so a comparison can change only
-    if the backers it reads have ranks in both new levels. Cached results
-    therefore survive a split unless they involve a dependent of the smaller
-    side: a node backed from there.
+    if the backers it reads have ranks in both new levels. A cached result
+    is dropped exactly then: one end is backed from the smaller side and the
+    two ends together are backed from the larger. An agent the walk found
+    ineligible stays idle, and is skipped, until its level splits or a
+    cached result on it is dropped: only those can change its verdict.
     """
     names = graph.nodes
     n = len(names)
     sides = graph._backers
     good, bad = sides if len(sides) == 2 else (sides[0], None)
+    backed_by = sides[0] if bad is None else [g | b for g, b in zip(good, bad)]
     levels = [[graph._index[v] for v in level] for level in initial.levels]
     known: dict[int, bool] = {}  # u * n + v -> u dominates v under current
+    idle = bytearray(n)
     current = initial
 
     def stronger(u: int, v: int) -> bool:
@@ -95,12 +99,15 @@ def _refine(
     def split_at() -> tuple[int, int] | None:
         ranks = current._ranks
         for vi in range(n):
+            if idle[vi]:
+                continue
             level = levels[ranks[names[vi]] - 1]
             witness = next((vj for vj in level if vj != vi and beats(vi, vj)), None)
             if witness is not None and not any(
                 beats(vs, vi) for vs in level if vs != vi
             ):
                 return vi, witness
+            idle[vi] = 1
         return None
 
     steps: list[TraceStep] = []
@@ -115,12 +122,18 @@ def _refine(
         split = [moved, left_behind] if direction == "above" else [left_behind, moved]
         levels[k : k + 1] = split
         current = Ranking.from_levels([names[v] for v in level] for level in levels)
-        smaller = moved if len(moved) <= len(left_behind) else left_behind
+        for v in tied:
+            idle[v] = 0
+        smaller, larger = sorted((moved, left_behind), key=len)
+        larger_names = {names[v] for v in larger}
         touched = {d for s in smaller for d in graph._dependents[s]}
         for d in touched:
+            both = not backed_by[d].isdisjoint(larger_names)
             for x in levels[current._ranks[names[d]] - 1]:
-                known.pop(d * n + x, None)
-                known.pop(x * n + d, None)
+                if both or not backed_by[x].isdisjoint(larger_names):
+                    dropped = known.pop(d * n + x, None), known.pop(x * n + d, None)
+                    if dropped != (None, None):
+                        idle[d] = idle[x] = 0
         steps.append(
             TraceStep(
                 index=len(steps) + 1,

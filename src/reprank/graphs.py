@@ -60,7 +60,11 @@ def _check_edge(edge: Edge, mode: Mode, seen: set[Edge]) -> None:
     _check_name(dst)
     if src == dst:
         raise ValueError(f"self-loop on {src!r}")
-    if kind not in _KINDS_BY_MODE[mode]:  # the property would add a Python call per edge
+    try:  # the property would add a Python call per edge
+        allowed = kind in _KINDS_BY_MODE[mode]
+    except TypeError:  # unhashable, so not a Feedback
+        allowed = False
+    if not allowed:
         if not isinstance(kind, Feedback):
             raise ValueError(f"unknown feedback kind {kind!r}")
         raise ModeError(f"{kind.value!r} edge not allowed in {mode.value} mode")
@@ -86,7 +90,7 @@ class ReputationGraph:
     # ``_dependents`` holds the positions each position backs, of either kind.
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[Edge], mode: Mode):
-        if mode not in _KINDS_BY_MODE:
+        if not isinstance(mode, Mode):
             raise ValueError(f"unknown mode {mode!r}")
         node_list = list(nodes)
         node_set = set(node_list)

@@ -61,18 +61,27 @@ class Ranking:
     @classmethod
     def from_levels(cls, levels: Iterable[Iterable[str]]) -> "Ranking":
         """Build a ranking from importance levels, most important first."""
+        levels = list(levels)  # the level structure is checked before any name
+        if any(map(isinstance, levels, itertools.repeat(str))):
+            text = next(level for level in levels if isinstance(level, str))
+            raise ValueError(f"a level must be a collection of names, not the string {text!r}")
         levels = [list(level) for level in levels]
-        if not all(levels):  # the level structure is checked before any name
+        if not all(levels):
             raise ValueError("levels must be non-empty")
-        ranks: dict[str, int] = {}
-        for rank, members in enumerate(levels, start=1):
-            for node in members:
-                _check_name(node)  # before hashing it
-                if node in ranks:
-                    raise ValueError(f"node {node!r} appears in two levels")
-                ranks[node] = rank
-        if not ranks:
+        names = list(itertools.chain.from_iterable(levels))
+        if not names:
             raise ValueError("a ranking needs at least one node")
+        try:  # every name at once, before any is hashed; _check_name finds the bad one
+            text = " ".join(names)
+        except TypeError:
+            text = ""
+        if text.split() != names or not text.isprintable() or "#" in text:
+            for node in names:
+                _check_name(node)
+        ranks = {node: rank for rank, members in enumerate(levels, start=1) for node in members}
+        if len(ranks) < len(names):
+            node = next(node for i, node in enumerate(names) if names.index(node) < i)
+            raise ValueError(f"node {node!r} appears in two levels")
         return object.__new__(cls)._fill(ranks)
 
     @property

@@ -334,11 +334,21 @@ def test_a_plain_set_sorts_on_every_call(sorts):
 
 def test_socially_stronger_sorts_each_side_once(sorts):
     # All four groups tie at rank 1, so neither more_important call is strict
-    # and both equally_strong calls run: four public calls over four groups.
+    # and the accusers' equally_strong call passes; the supporters' equality
+    # is never asked for: three public calls over four groups.
     g = combined_graph([("p", "u"), ("q", "v")], [("s", "u"), ("t", "v")])
     r = Ranking({v: 1 for v in g.nodes})
     assert not socially_stronger(r, g, "u", "v")
     assert len(sorts) == 4
+
+
+def test_socially_stronger_stops_when_the_accusers_fail(sorts):
+    # u has an accuser and v has none, so v's accusers cannot cover u's:
+    # the supporter sets are never sorted.
+    g = combined_graph([("p", "u"), ("q", "v")], [("s", "u")])
+    r = Ranking({v: 1 for v in g.nodes})
+    assert not socially_stronger(r, g, "u", "v")
+    assert sorted(map(tuple, sorts)) == [(), (1,)]
 
 
 def test_socially_stronger_sorts_at_most_four_times(sorts):

@@ -14,6 +14,8 @@ from conftest import (
     positive_graph,
     random_graph,
 )
+import reference
+import reprank.dominance
 from reference import is_refinement
 from reprank import (
     Axiom,
@@ -204,3 +206,40 @@ def test_positive_respects_support_counts():
             for v in g.nodes:
                 if len(g.support_set(u)) > len(g.support_set(v)):
                     assert ranking.rank_of(u) < ranking.rank_of(v)
+
+
+# ---------------------------------------------------------------------------
+# the engine's caching: larger graphs against the reference, and its work
+
+
+@pytest.mark.parametrize("n", [40, 60])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_combined_engine_matches_the_reference_on_larger_graphs(n, seed):
+    # About four supporters and four accusers per node: many splits land on
+    # levels whose cached comparisons and idle agents must be kept or dropped.
+    rng = random.Random(f"engine-reference-{n}-{seed}")
+    g = random_graph(rng, n, 4 / (n - 1), Mode.COMBINED)
+    assert rank_graph(g) == reference.rank_graph(g)
+
+
+@pytest.mark.parametrize(
+    "mode, calls",
+    [(Mode.POSITIVE_ONLY, 661), (Mode.NEGATIVE_ONLY, 463)],
+    ids=lambda value: getattr(value, "value", value),
+)
+def test_engine_compares_only_what_a_split_changed(monkeypatch, mode, calls):
+    # A comparison is redone only when a split may have changed it, and an
+    # agent found ineligible is walked again only when its verdict may have
+    # changed; a coarser cache or a full rescan makes more calls.
+    g = random_graph(random.Random(f"engine-calls-{mode.value}"), 60, 4 / 59, mode)
+    made = []
+    more_important = reprank.dominance.more_important
+
+    def counting(*args):
+        made.append(None)
+        return more_important(*args)
+
+    monkeypatch.setattr(reprank.dominance, "more_important", counting)
+    result = rank_graph(g)
+    assert len(made) == calls
+    assert result == reference.rank_graph(g)

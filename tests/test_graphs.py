@@ -70,8 +70,14 @@ def test_kind_must_match_mode():
             "unknown feedback kind '+'",
         ),
         (lambda: ReputationGraph(["a"], [], "positive"), "unknown mode 'positive'"),
+        # Unhashable ones are named too, not a TypeError from a set lookup.
+        (
+            lambda: ReputationGraph(["a", "b"], [("a", "b", ["+"])], Mode.POSITIVE_ONLY),
+            "unknown feedback kind ['+']",
+        ),
+        (lambda: ReputationGraph(["a"], [], ["positive"]), "unknown mode ['positive']"),
     ],
-    ids=["kind", "mode"],
+    ids=["kind", "mode", "unhashable kind", "unhashable mode"],
 )
 def test_constructor_names_a_kind_or_mode_that_is_not_one(build, message):
     with pytest.raises(ValueError) as info:

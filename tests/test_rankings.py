@@ -69,6 +69,12 @@ FROM_LEVELS_ERRORS = [
     ("invalid name", [["a"], ["b c"]], "invalid node name 'b c'"),
     # The level structure is checked before any name.
     ("invalid name, then empty level", [["b c"], []], "levels must be non-empty"),
+    # A string is iterable, but its characters are not the level meant.
+    (
+        "string level",
+        ["alice", "dog"],
+        "a level must be a collection of names, not the string 'alice'",
+    ),
 ]
 
 
@@ -343,6 +349,29 @@ def test_ranking_rejects_names_that_cannot_round_trip(name):
         Ranking({name: 1, "c": 2})
     with pytest.raises(ValueError, match="invalid node name"):
         Ranking.from_levels([[name], ["c"]])
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.one_of(st.text(max_size=3), st.integers()), min_size=1, max_size=6, unique=True))
+def test_from_levels_names_the_first_bad_name(names):
+    # from_levels checks all names in one pass over their joined text; it must
+    # refuse exactly what the per-name rule refuses, naming the first such name.
+    def valid(name):
+        try:
+            reprank.graphs._check_name(name)
+        except ValueError:
+            return False
+        return True
+
+    bad = [name for name in names if not valid(name)]
+    half = len(names) // 2
+    levels = [part for part in (names[:half], names[half:]) if part]
+    if not bad:
+        assert Ranking.from_levels(levels).nodes == tuple(sorted(names))
+        return
+    with pytest.raises(ValueError) as info:
+        Ranking.from_levels(levels)
+    assert str(info.value) == f"invalid node name {bad[0]!r}"
 
 
 @pytest.mark.parametrize(
