@@ -5,11 +5,10 @@ can cover the other set's members one-for-one at equal or better rank. The
 same combinatorics reads as "more important" for supporter sets and "more
 reliable" for accuser sets; only the interpretation changes.
 
-Every relation is decided on sorted rank profiles, a group's member ranks
-as an ascending int tuple, by ``_covers``, ``_strictly_covers`` and
-``_social``. The public functions below, which the engines call, build the
-profiles from node sets and keep a frozenset's until a call with another
-``Ranking`` object: one sort per backer set and ranking. The axiom checker
+Every relation is decided on sorted rank profiles (a group's member ranks as
+an ascending int tuple) by ``_covers`` and ``_social``. The public functions
+below, which the engines call, sort a frozenset's profile once per
+``Ranking`` object and keep it until a call with another. The axiom checker
 sorts each node's profiles at most once per ranking and calls the primitives.
 """
 
@@ -52,10 +51,6 @@ def _covers(a: Profile, b: Profile) -> bool:
     return len(a) >= len(b) and all(map(le, a, b))
 
 
-def _strictly_covers(a: Profile, b: Profile) -> bool:
-    return a != b and _covers(a, b)
-
-
 def _social(good_u: Profile, bad_u: Profile, good_v: Profile, bad_v: Profile) -> bool:
     """u's supporters cover v's, v's accusers cover u's, and one side differs.
     Equal accusers (all empty on a single-polarity graph) cover without a call."""
@@ -90,7 +85,8 @@ def more_important(
     ranking: Ranking, a: AbstractSet[str], b: AbstractSet[str]
 ) -> bool:
     """True iff A covers B injectively and strictly outranks it overall."""
-    return _strictly_covers(*_pair(ranking, a, b))
+    a, b = _pair(ranking, a, b)
+    return a != b and _covers(a, b)
 
 
 def socially_stronger(

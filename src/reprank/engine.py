@@ -46,12 +46,15 @@ class RefinementTrace:
         return (self.initial,) + tuple(step.ranking for step in self.steps)
 
 
-def _refine(
-    graph: ReputationGraph,
-    initial: Ranking,
-    direction: Literal["above", "below"],
-) -> tuple[Ranking, RefinementTrace]:
-    """Split levels of ``initial`` until no levelmate dominates another.
+_START: dict[Mode, tuple[int, Literal["above", "below"]]] = {
+    Mode.POSITIVE_ONLY: (-1, "above"),  # (sign of backer counts in the start, split direction)
+    Mode.NEGATIVE_ONLY: (1, "below"),
+    Mode.COMBINED: (0, "above"),
+}
+
+
+def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
+    """Split levels of the mode's start until no levelmate dominates another.
 
     The backers are the graph's sides: its one polarity, compared with
     ``more_important``, or supporters and accusers, compared with
@@ -71,6 +74,8 @@ def _refine(
     names = graph.nodes
     n = len(names)
     sides = graph._backers
+    sign, direction = _START[graph.mode]
+    initial = normalize({v: sign * len(b) for v, b in zip(names, sides[0])})
     good, bad = sides if len(sides) == 2 else (sides[0], None)
     backed_by = sides[0] if bad is None else [g | b for g, b in zip(good, bad)]
     levels = [[graph._index[v] for v in level] for level in initial.levels]
@@ -156,8 +161,7 @@ def rank_positive(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     """
     if graph.mode is not Mode.POSITIVE_ONLY:
         raise ModeError("rank_positive needs a positive-only graph")
-    initial = normalize({v: -len(graph.support_set(v)) for v in graph.nodes})
-    return _refine(graph, initial, "above")
+    return _refine(graph)
 
 
 def rank_negative(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
@@ -169,8 +173,7 @@ def rank_negative(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     """
     if graph.mode is not Mode.NEGATIVE_ONLY:
         raise ModeError("rank_negative needs a negative-only graph")
-    initial = normalize({v: len(graph.support_set(v)) for v in graph.nodes})
-    return _refine(graph, initial, "below")
+    return _refine(graph)
 
 
 def rank_combined(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
@@ -182,17 +185,9 @@ def rank_combined(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     """
     if graph.mode is not Mode.COMBINED:
         raise ModeError("rank_combined needs a combined-mode graph")
-    initial = Ranking({v: 1 for v in graph.nodes})
-    return _refine(graph, initial, "above")
-
-
-_ENGINES = {
-    Mode.POSITIVE_ONLY: rank_positive,
-    Mode.NEGATIVE_ONLY: rank_negative,
-    Mode.COMBINED: rank_combined,
-}
+    return _refine(graph)
 
 
 def rank_graph(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
-    """Dispatch to the engine matching the graph's mode."""
-    return _ENGINES[graph.mode](graph)
+    """Rank a graph of any mode: the mode picks the start and the split direction."""
+    return _refine(graph)

@@ -92,14 +92,16 @@ class ReputationGraph:
     def __init__(self, nodes: Iterable[str], edges: Iterable[Edge], mode: Mode):
         if not isinstance(mode, Mode):
             raise ValueError(f"unknown mode {mode!r}")
+        if isinstance(nodes, str):  # iterable, but its characters are not the nodes meant
+            raise ValueError(f"nodes must be a collection of names, not the string {nodes!r}")
         node_list = list(nodes)
+        for name in node_list:  # before hashing them
+            _check_name(name)
         node_set = set(node_list)
         if not node_set:
             raise ValueError("graph has no nodes")
         if len(node_set) != len(node_list):
             raise ValueError("duplicate node names")
-        for name in node_list:
-            _check_name(name)
         edge_set: set[Edge] = set()
         for src, dst, kind in edges:
             _check_edge((src, dst, kind), mode, edge_set)

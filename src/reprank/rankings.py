@@ -61,11 +61,17 @@ class Ranking:
     @classmethod
     def from_levels(cls, levels: Iterable[Iterable[str]]) -> "Ranking":
         """Build a ranking from importance levels, most important first."""
-        levels = list(levels)  # the level structure is checked before any name
-        if any(map(isinstance, levels, itertools.repeat(str))):
-            text = next(level for level in levels if isinstance(level, str))
-            raise ValueError(f"a level must be a collection of names, not the string {text!r}")
-        levels = [list(level) for level in levels]
+        try:  # the level structure is checked before any name
+            levels = list(levels)
+            if any(map(isinstance, levels, itertools.repeat(str))):
+                text = "the string " + repr(next(lv for lv in levels if isinstance(lv, str)))
+                raise ValueError(f"a level must be a collection of names, not {text}")
+            levels = [list(level) for level in levels]
+        except TypeError:  # levels is a list once the first list() call has passed
+            if isinstance(levels, list):
+                bad = next(level for level in levels if not isinstance(level, Iterable))
+                raise ValueError(f"a level must be a collection of names, not {bad!r}") from None
+            raise ValueError(f"levels must be a collection of levels, not {levels!r}") from None
         if not all(levels):
             raise ValueError("levels must be non-empty")
         names = list(itertools.chain.from_iterable(levels))

@@ -248,6 +248,13 @@ def test_check_unknown_axiom_exits_2(write_file, capsys):
     assert "unknown axiom" in capsys.readouterr().err
 
 
+def test_check_empty_axiom_list_exits_2(write_file, capsys):
+    graph = write_file("g", POS_PATH)
+    ranking = write_file("r", "a 3\nb 2\nc 1\n")
+    assert main(["check", graph, ranking, "--axioms", ","]) == 2
+    assert capsys.readouterr().err == "error: empty axiom list\n"
+
+
 def test_check_mode_incompatible_axiom_exits_2(write_file, capsys):
     graph = write_file("g", POS_PATH)
     ranking = write_file("r", "a 3\nb 2\nc 1\n")

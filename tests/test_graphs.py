@@ -100,6 +100,18 @@ def test_combined_allows_both_kinds_on_same_pair():
     assert len(g.edges) == 2
 
 
+def test_duplicate_node_names_rejected():
+    with pytest.raises(ValueError, match="^duplicate node names$"):
+        ReputationGraph(["a", "a"], [], Mode.POSITIVE_ONLY)
+
+
+def test_a_string_of_nodes_is_not_split_into_characters():
+    with pytest.raises(ValueError) as info:
+        ReputationGraph("alice", [], Mode.POSITIVE_ONLY)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "nodes must be a collection of names, not the string 'alice'"
+
+
 def test_invalid_node_names_rejected():
     for bad in ("", "two words", "tab\tname", "a#b", "#"):
         with pytest.raises(ValueError):
@@ -113,6 +125,17 @@ def test_graph_is_immutable_and_hashable():
     assert g == positive_graph([("a", "b")])
     assert hash(g) == hash(positive_graph([("a", "b")]))
     assert g != negative_graph([("a", "b")])
+
+
+def test_a_graph_never_equals_another_type():
+    g = positive_graph([("a", "b")])
+    assert g.__eq__(1) is NotImplemented
+    assert (g == 1) is False
+
+
+def test_graph_repr_counts_nodes_and_edges():
+    g = positive_graph([("a", "b")])
+    assert repr(g) == "ReputationGraph(nodes=2, edges=1, mode=positive)"
 
 
 @pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())

@@ -75,6 +75,8 @@ FROM_LEVELS_ERRORS = [
         ["alice", "dog"],
         "a level must be a collection of names, not the string 'alice'",
     ),
+    ("level not a collection", [1], "a level must be a collection of names, not 1"),
+    ("levels not a collection", None, "levels must be a collection of levels, not None"),
 ]
 
 
@@ -116,6 +118,12 @@ def test_ranking_immutable_and_hashable():
     with pytest.raises(AttributeError):
         r.extra = 1
     assert hash(r) == hash(Ranking({"a": 1}))
+
+
+def test_a_ranking_never_equals_another_type():
+    r = Ranking({"a": 1})
+    assert r.__eq__("a 1") is NotImplemented
+    assert (r == "a 1") is False
 
 
 @pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
@@ -394,8 +402,9 @@ def test_a_name_that_is_not_a_str_is_a_value_error(build):
     [
         (lambda: next(enumerate_preorders([1, "a"])), "invalid node name 1"),
         (lambda: Ranking.from_levels([["a"], [["b"]]]), "invalid node name ['b']"),
+        (lambda: ReputationGraph([["a"]], [], Mode.POSITIVE_ONLY), "invalid node name ['a']"),
     ],
-    ids=["enumerate_preorders", "from_levels"],
+    ids=["enumerate_preorders", "from_levels", "ReputationGraph"],
 )
 def test_a_name_is_checked_before_it_is_sorted_or_hashed(build, message):
     with pytest.raises(ValueError) as info:
