@@ -39,7 +39,7 @@ class Axiom(enum.Enum):
     def from_name(cls, name: str) -> "Axiom":
         try:
             return _AXIOMS_BY_NAME[name.casefold()]
-        except KeyError:
+        except (KeyError, AttributeError):  # AttributeError: not a str
             known = ", ".join(a.value for a in cls)
             raise ValueError(f"unknown axiom {name!r} (known: {known})") from None
 

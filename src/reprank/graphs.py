@@ -44,20 +44,35 @@ _KINDS_BY_MODE = {
 Edge = tuple[str, str, Feedback]
 
 
-def _check_name(name: str) -> None:
-    # One non-empty whitespace-free token; '#' starts a comment in both text
-    # formats, so a name holding one could not be written back as text.
-    ok = isinstance(name, str) and name.split() == [name] and name.isprintable()
-    if not ok or "#" in name:
-        raise ValueError(f"invalid node name {name!r}")
+def _check_names(names: list) -> None:
+    # Each name is one printable whitespace-free token without '#', which starts a
+    # comment in both text formats; valid names cost one pass over their joined text.
+    try:
+        text = " ".join(names)
+    except TypeError:  # a name that is not a str
+        text = ""
+    if text.split() != names or not text.isprintable() or "#" in text:
+        for name in names:  # a tuple never equals its split, so callers pass lists
+            ok = isinstance(name, str) and name.split() == [name] and name.isprintable()
+            if not ok or "#" in name:
+                raise ValueError(f"invalid node name {name!r}")
+
+
+def _collection(value, what: str) -> list:
+    """``list(value)``, refusing a string and what cannot be listed: ``{what}, not ...``."""
+    if isinstance(value, str):
+        raise ValueError(f"{what}, not the string {value!r}")
+    try:
+        return list(value)
+    except TypeError:
+        raise ValueError(f"{what}, not {value!r}") from None
 
 
 def _check_edge(edge: Edge, mode: Mode, seen: set[Edge]) -> None:
     """Reject an edge with a bad name, a self-loop, a sign the mode forbids,
     or one already in ``seen``; otherwise add it there."""
     src, dst, kind = edge
-    _check_name(src)
-    _check_name(dst)
+    _check_names([src, dst])
     if src == dst:
         raise ValueError(f"self-loop on {src!r}")
     try:  # the property would add a Python call per edge
@@ -92,25 +107,23 @@ class ReputationGraph:
     def __init__(self, nodes: Iterable[str], edges: Iterable[Edge], mode: Mode):
         if not isinstance(mode, Mode):
             raise ValueError(f"unknown mode {mode!r}")
-        if isinstance(nodes, str):  # iterable, but its characters are not the nodes meant
-            raise ValueError(f"nodes must be a collection of names, not the string {nodes!r}")
-        node_list = list(nodes)
-        for name in node_list:  # before hashing them
-            _check_name(name)
+        node_list = _collection(nodes, "nodes must be a collection of names")
+        edge_list = _collection(edges, "edges must be a collection of edges")
+        _check_names(node_list)  # before hashing them
         node_set = set(node_list)
         if not node_set:
             raise ValueError("graph has no nodes")
         if len(node_set) != len(node_list):
             raise ValueError("duplicate node names")
         edge_set: set[Edge] = set()
-        for src, dst, kind in edges:
+        for src, dst, kind in edge_list:
             _check_edge((src, dst, kind), mode, edge_set)
             if src not in node_set or dst not in node_set:
                 raise UnknownNodeError(f"edge {src!r} -> {dst!r} uses an undeclared node")
         self._build(node_set, edge_set, mode)
 
     def _build(self, node_set: set[str], edge_set: set[Edge], mode: Mode) -> "ReputationGraph":
-        """Fill the slots from nodes and edges checked above or by ``parse_graph``."""
+        """Fill the slots from nodes and edges already checked or built from checked ones."""
         names = tuple(sorted(node_set))
         index = {v: i for i, v in enumerate(names)}
         incoming: dict[Feedback, list[set[str]]] = {
@@ -183,13 +196,13 @@ class ReputationGraph:
         """
         if self.mode is not Mode.POSITIVE_ONLY:
             raise ModeError("complement is defined for positive-only graphs")
-        comp_edges = [
+        edges = {
             (u, v, Feedback.NEGATIVE)
             for i, u in enumerate(self.nodes)
             for j, v in enumerate(self.nodes)
             if i != j and j not in self._dependents[i]
-        ]
-        return ReputationGraph(self.nodes, comp_edges, Mode.NEGATIVE_ONLY)
+        }
+        return object.__new__(ReputationGraph)._build(set(self.nodes), edges, Mode.NEGATIVE_ONLY)
 
     def is_strongly_connected(self) -> bool:
         """True iff a directed path joins every ordered node pair (kinds ignored)."""
@@ -259,7 +272,7 @@ def parse_graph(text: str) -> ReputationGraph:
                 if mode is None:
                     raise ValueError(f"unknown mode {tokens[1]!r}")
             elif len(tokens) == 2 and tokens[0] == "node":
-                _check_name(tokens[1])
+                _check_names(tokens[1:])
                 nodes.add(tokens[1])
             elif len(tokens) != 3:
                 raise ValueError("expected 'SOURCE SIGN TARGET' or 'node NAME'")

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import (
     EnumerationCapError,
     ParseError,
     UnknownNodeError,
 )
-from .graphs import _check_name, _records
+from .graphs import _check_names, _collection, _records
 
 DEFAULT_ENUMERATION_CAP = 8
 
@@ -38,10 +38,12 @@ class Ranking:
     __slots__ = ("_ranks",)
 
     def __init__(self, ranks: Mapping[str, int]):
+        if not isinstance(ranks, Mapping):
+            raise ValueError(f"ranks must be a mapping of names to ranks, not {ranks!r}")
         if not ranks:
             raise ValueError("a ranking needs at least one node")
+        _check_names(list(ranks))
         for node, rank in ranks.items():
-            _check_name(node)
             if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
                 raise ValueError(f"rank of {node!r} must be a positive integer")
         _check_dense(ranks)
@@ -61,29 +63,16 @@ class Ranking:
     @classmethod
     def from_levels(cls, levels: Iterable[Iterable[str]]) -> "Ranking":
         """Build a ranking from importance levels, most important first."""
-        try:  # the level structure is checked before any name
-            levels = list(levels)
-            if any(map(isinstance, levels, itertools.repeat(str))):
-                text = "the string " + repr(next(lv for lv in levels if isinstance(lv, str)))
-                raise ValueError(f"a level must be a collection of names, not {text}")
-            levels = [list(level) for level in levels]
-        except TypeError:  # levels is a list once the first list() call has passed
-            if isinstance(levels, list):
-                bad = next(level for level in levels if not isinstance(level, Iterable))
-                raise ValueError(f"a level must be a collection of names, not {bad!r}") from None
-            raise ValueError(f"levels must be a collection of levels, not {levels!r}") from None
+        levels = [  # the level structure is checked before any name
+            _collection(level, "a level must be a collection of names")
+            for level in _collection(levels, "levels must be a collection of levels")
+        ]
         if not all(levels):
             raise ValueError("levels must be non-empty")
         names = list(itertools.chain.from_iterable(levels))
         if not names:
             raise ValueError("a ranking needs at least one node")
-        try:  # every name at once, before any is hashed; _check_name finds the bad one
-            text = " ".join(names)
-        except TypeError:
-            text = ""
-        if text.split() != names or not text.isprintable() or "#" in text:
-            for node in names:
-                _check_name(node)
+        _check_names(names)  # before any is hashed
         ranks = {node: rank for rank, members in enumerate(levels, start=1) for node in members}
         if len(ranks) < len(names):
             node = next(node for i, node in enumerate(names) if names.index(node) < i)
@@ -148,14 +137,13 @@ def enumerate_preorders(
     """Yield every total preorder over ``nodes`` exactly once.
 
     Rankings come out as ordered set partitions built block-by-block in
-    lexicographic node order, so the stream is deterministic. A cap below 1,
-    node sets larger than ``cap`` and invalid names are refused up front.
+    lexicographic node order, so the stream is deterministic. A cap that is not
+    a positive integer, more nodes than ``cap`` and invalid names are refused first.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be a positive integer, got {cap}")
-    nodes = list(nodes)
-    for name in nodes:  # before sorting or hashing them
-        _check_name(name)
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+        raise ValueError(f"cap must be a positive integer, got {cap!r}")
+    nodes = _collection(nodes, "nodes must be a collection of names")
+    _check_names(nodes)  # before sorting or hashing them
     ordered = tuple(sorted(set(nodes)))
     if not ordered:
         raise ValueError("cannot enumerate preorders over an empty node set")
@@ -204,7 +192,7 @@ def parse_ranking(text: str) -> Ranking:
             if len(tokens) != 2:
                 raise ValueError("expected 'NAME RANK'")
             name, rank_text = tokens
-            _check_name(name)
+            _check_names([name])
             if name in ranks:
                 raise ValueError(f"node {name!r} ranked twice")
             # int() would also accept signs, underscores and non-ASCII digits.

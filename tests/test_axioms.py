@@ -47,6 +47,14 @@ def test_axiom_names_round_trip():
         Axiom.from_name("Q")
 
 
+@pytest.mark.parametrize("name", ["Q", None], ids=["unknown", "not a str"])
+def test_an_unknown_axiom_name_is_a_value_error(name):
+    with pytest.raises(ValueError) as info:
+        Axiom.from_name(name)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"unknown axiom {name!r} (known: T, M, VWM, BT, BM, Tc, Mc)"
+
+
 # ---------------------------------------------------------------------------
 # transitivity-style axioms
 

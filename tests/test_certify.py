@@ -116,10 +116,10 @@ def test_cap_is_enforced():
         certify(three, {Axiom.T}, cap=2)
 
 
-@pytest.mark.parametrize("cap", [0, -5])
+@pytest.mark.parametrize("cap", [0, -5, "3", 2.5, True])
 def test_cap_below_one_is_refused(cap):
     one = positive_graph([], extra_nodes=["a"])
-    message = f"cap must be a positive integer, got {cap}"
+    message = f"cap must be a positive integer, got {cap!r}"
     for run in (certify, count_satisfying):
         with pytest.raises(ValueError) as info:
             run(one, [Axiom.T], cap=cap)

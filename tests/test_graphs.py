@@ -269,6 +269,20 @@ def test_complement_edge_count_and_involution(g):
     assert {(u, v) for u, v, _ in twice.edges} == {(u, v) for u, v, _ in g.edges}
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_complement_builds_what_the_constructor_builds(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(1, 12), rng.random(), Mode.POSITIVE_ONLY)
+    # complement() skips the constructor's checks; the checked path must agree.
+    comp = g.complement()
+    edges = [
+        (u, v, NEG) for u in g.nodes for v in g.nodes if u != v and (u, v, POS) not in g.edges
+    ]
+    built = ReputationGraph(g.nodes, edges, Mode.NEGATIVE_ONLY)
+    for slot in ReputationGraph.__slots__:
+        assert getattr(comp, slot) == getattr(built, slot), slot
+
+
 # ---------------------------------------------------------------------------
 # strong connectivity
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -14,6 +14,7 @@ from conftest import ROUND_TRIPS, node_names, preorder_count, rankings
 from reference import is_refinement
 from reprank import (
     EnumerationCapError,
+    Feedback,
     Mode,
     NodeSetMismatchError,
     ParseError,
@@ -22,6 +23,7 @@ from reprank import (
     UnknownNodeError,
     enumerate_preorders,
     normalize,
+    parse_graph,
     parse_ranking,
 )
 
@@ -220,7 +222,7 @@ def test_enumeration_has_no_duplicates_and_stays_dense():
 
 
 def test_enumeration_order_is_deterministic():
-    first = [r.as_dict() for r in enumerate_preorders("cab")]
+    first = [r.as_dict() for r in enumerate_preorders(["c", "a", "b"])]
     second = [r.as_dict() for r in enumerate_preorders(["a", "b", "c"])]
     assert first == second
     assert first[0] == {"a": 1, "b": 2, "c": 3}
@@ -230,19 +232,20 @@ def test_enumeration_cap():
     nine = [f"n{i}" for i in range(9)]
     with pytest.raises(EnumerationCapError):
         next(enumerate_preorders(nine))
-    assert sum(1 for _ in enumerate_preorders("ab", cap=2)) == 3
+    assert sum(1 for _ in enumerate_preorders(["a", "b"], cap=2)) == 3
     with pytest.raises(EnumerationCapError):
-        next(enumerate_preorders("abc", cap=2))
+        next(enumerate_preorders(["a", "b", "c"], cap=2))
 
 
-@pytest.mark.parametrize("cap", [0, -5])
+@pytest.mark.parametrize("cap", [0, -5, "3", 2.5, True])
 def test_enumeration_refuses_a_cap_below_one_before_any_other_check(cap):
-    # An empty or invalid node set would be refused too; the cap is named first.
+    # A cap that is not an int (a bool is not one) is refused as a cap below 1 is.
+    # A string, empty or invalid node set would be refused too; the cap is named first.
     for nodes in ("a", [], ["bad name"]):
         with pytest.raises(ValueError) as info:
             next(enumerate_preorders(nodes, cap=cap))
         assert type(info.value) is ValueError
-        assert str(info.value) == f"cap must be a positive integer, got {cap}"
+        assert str(info.value) == f"cap must be a positive integer, got {cap!r}"
 
 
 def test_enumeration_rejects_empty_node_set():
@@ -292,17 +295,17 @@ def test_enumeration_refuses_an_invalid_name_at_the_first_preorder():
 
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_enumeration_checks_each_name_once(monkeypatch, n):
-    checked: list[str] = []
-    real = reprank.rankings._check_name
+    calls: list[list[str]] = []
+    real = reprank.rankings._check_names
 
-    def counting(name: str) -> None:
-        checked.append(name)
-        real(name)
+    def counting(names: list) -> None:
+        calls.append(list(names))
+        real(names)
 
-    monkeypatch.setattr(reprank.rankings, "_check_name", counting)
+    monkeypatch.setattr(reprank.rankings, "_check_names", counting)
     nodes = [f"n{i}" for i in range(n)]
     assert sum(1 for _ in enumerate_preorders(nodes)) == preorder_count(n)
-    assert checked == nodes
+    assert calls == [nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -359,27 +362,83 @@ def test_ranking_rejects_names_that_cannot_round_trip(name):
         Ranking.from_levels([[name], ["c"]])
 
 
-@PROPERTY_SETTINGS
-@given(st.lists(st.one_of(st.text(max_size=3), st.integers()), min_size=1, max_size=6, unique=True))
-def test_from_levels_names_the_first_bad_name(names):
-    # from_levels checks all names in one pass over their joined text; it must
-    # refuse exactly what the per-name rule refuses, naming the first such name.
-    def valid(name):
-        try:
-            reprank.graphs._check_name(name)
-        except ValueError:
-            return False
-        return True
+def _follows_the_name_rule(name) -> bool:
+    """The name rule written out as the oracle: one printable whitespace-free
+    token without '#'."""
+    return (
+        isinstance(name, str)
+        and name.split() == [name]
+        and name.isprintable()
+        and "#" not in name
+    )
 
-    bad = [name for name in names if not valid(name)]
+
+def _two_levels(names: list) -> list[list]:
     half = len(names) // 2
-    levels = [part for part in (names[:half], names[half:]) if part]
+    return [part for part in (names[:half], names[half:]) if part]
+
+
+def _graph_text(line: str, names: list) -> str:
+    return "mode positive\n" + "".join(line.format(name) for name in names)
+
+
+# Each builder and parser, given distinct names other than "0", and the line
+# of the first name in its text (None for the library builders). The edges
+# run into "0", so that their names are checked by the edge check.
+NAME_CHECKERS = {
+    "Ranking": (lambda names: Ranking(dict.fromkeys(names, 1)), None),
+    "from_levels": (lambda names: Ranking.from_levels(_two_levels(names)), None),
+    "ReputationGraph nodes": (
+        lambda names: ReputationGraph(names, [], Mode.POSITIVE_ONLY),
+        None,
+    ),
+    "ReputationGraph edges": (
+        lambda names: ReputationGraph(
+            [*filter(_follows_the_name_rule, names), "0"],
+            [(name, "0", Feedback.POSITIVE) for name in names],
+            Mode.POSITIVE_ONLY,
+        ),
+        None,
+    ),
+    "enumerate_preorders": (lambda names: next(enumerate_preorders(names)), None),
+    "parse_graph node lines": (lambda names: parse_graph(_graph_text("node {}\n", names)), 2),
+    "parse_graph edge lines": (lambda names: parse_graph(_graph_text("{} + 0\n", names)), 2),
+    "parse_ranking": (lambda names: parse_ranking("".join(f"{n} 1\n" for n in names)), 1),
+}
+
+# Library builders take any value; a text format carries a name as one token
+# that no comment or line end cuts short, so only the printable test is left.
+_library_names = st.one_of(
+    st.text(st.sampled_from("ab#"), max_size=3),
+    st.text(st.sampled_from("ab \x00\t"), max_size=3),
+    st.text(max_size=3),
+    st.integers(),
+)
+_token_names = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="#"), min_size=1, max_size=3
+).filter(lambda name: name.split() == [name])
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(sorted(NAME_CHECKERS)), st.data())
+def test_from_levels_names_the_first_bad_name(builder, data):
+    # One function checks all names in one pass over their joined text; every
+    # builder and parser must refuse exactly what the rule refuses, naming the
+    # first such name.
+    build, first_line = NAME_CHECKERS[builder]
+    pool = _library_names if first_line is None else _token_names
+    names = [n for n in data.draw(st.lists(pool, min_size=1, max_size=6, unique=True)) if n != "0"]
+    assume(names)
+    bad = [name for name in names if not _follows_the_name_rule(name)]
     if not bad:
-        assert Ranking.from_levels(levels).nodes == tuple(sorted(names))
+        build(names)
         return
-    with pytest.raises(ValueError) as info:
-        Ranking.from_levels(levels)
-    assert str(info.value) == f"invalid node name {bad[0]!r}"
+    with pytest.raises(ValueError if first_line is None else ParseError) as info:
+        build(names)
+    message = f"invalid node name {bad[0]!r}"
+    if first_line is not None:
+        message = f"line {first_line + names.index(bad[0])}: {message}"
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -411,6 +470,64 @@ def test_a_name_is_checked_before_it_is_sorted_or_hashed(build, message):
         build()
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+# Each builder of a graph or ranking, with the start of its refusal of a
+# malformed shape, and how it shows the string "ab" in that refusal.
+SHAPE_BUILDERS = [
+    (
+        lambda value: ReputationGraph(value, [], Mode.POSITIVE_ONLY),
+        "nodes must be a collection of names",
+        "the string 'ab'",
+    ),
+    (
+        lambda value: ReputationGraph(["a"], value, Mode.POSITIVE_ONLY),
+        "edges must be a collection of edges",
+        "the string 'ab'",
+    ),
+    (Ranking, "ranks must be a mapping of names to ranks", "'ab'"),
+    (Ranking.from_levels, "levels must be a collection of levels", "the string 'ab'"),
+    (
+        lambda value: Ranking.from_levels([["a"], value]),
+        "a level must be a collection of names",
+        "the string 'ab'",
+    ),
+    (
+        lambda value: next(enumerate_preorders(value)),
+        "nodes must be a collection of names",
+        "the string 'ab'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: None, lambda: 1, lambda: "ab", lambda: (1 + "a" for _ in [0])],
+    ids=["None", "int", "str", "generator raising TypeError"],
+)
+@pytest.mark.parametrize(
+    "build, what, string_shown",
+    SHAPE_BUILDERS,
+    ids=[
+        "graph nodes",
+        "graph edges",
+        "Ranking",
+        "from_levels levels",
+        "from_levels level",
+        "enumerate_preorders",
+    ],
+)
+def test_every_builder_refuses_a_malformed_shape_with_a_value_error(
+    build, what, string_shown, make
+):
+    # Not a TypeError, AttributeError or StopIteration; a generator is shown by
+    # its repr, address included.
+    value = make()
+    shown = string_shown if isinstance(value, str) else repr(value)
+    with pytest.raises(ValueError) as info:
+        build(value)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{what}, not {shown}"
 
 
 def test_parse_ranking_rejects_unprintable_names_with_line_number():
