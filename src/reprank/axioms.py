@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .dominance import Profile, _social
-from .errors import ModeError, NodeSetMismatchError, UnknownNodeError
+from .errors import ModeError, NodeSetMismatchError
 from .graphs import Mode, ReputationGraph
 from .rankings import Ranking
 
@@ -78,9 +78,9 @@ class AxiomReport:
 
 
 # Clauses read node ranks and the sorted rank profiles of supporters (good)
-# and accusers (bad), indexed alike. A single-polarity graph's side is good,
-# with no bad backers, so T and M are Tc and Mc. A negative graph negates the
-# node ranks, not the profiles: BT and BM read "ranked higher" as "lower".
+# and accusers (bad), indexed alike. A single-polarity graph's own polarity is
+# good and its bad side is empty, so T and M are Tc and Mc. A negative graph
+# negates the node ranks, not the profiles: BT and BM read "ranked higher" as "lower".
 Side = Sequence[Profile]
 Backers = Sequence[frozenset[str]]  # one side's backer sets, by position
 
@@ -162,18 +162,16 @@ def _may_violate(axiom: Axiom, good: Backers, bad: Backers, i: int, j: int) -> b
     needs a side as large that differs as a set. An M pair with equal sets can fail."""
     if axiom is Axiom.VWM:
         return len(good[i]) <= len(good[j]) + 1
-    if axiom is Axiom.TC:
+    if _CLAUSES[axiom][0] is _violates_t:
         sized = len(good[i]) >= len(good[j]) and len(bad[j]) >= len(bad[i])
         return sized and (good[i], bad[i]) != (good[j], bad[j])
-    if axiom in (Axiom.T, Axiom.BT):
-        return len(good[i]) >= len(good[j]) and good[i] != good[j]
     return True
 
 
 def _leaf(graph: ReputationGraph, axioms: Iterable[Axiom]) -> Callable[[Ranking], bool]:
     """The certifier's test of a ranking of the graph's nodes against every
     requested axiom: one snapshot, profiles sorted on demand, no report."""
-    good, bad = graph._backers[0], graph._backers[-1]
+    good, bad = graph._backers
     pairs = [
         (_CLAUSES[axiom][0], i, j)
         for axiom in _applicable(graph.mode, axioms)
@@ -181,13 +179,13 @@ def _leaf(graph: ReputationGraph, axioms: Iterable[Axiom]) -> Callable[[Ranking]
         if _may_violate(axiom, good, bad, i, j)
     ]
     nodes, sign = graph.nodes, -1 if graph.mode is Mode.NEGATIVE_ONLY else 1
-    unbacked = [()] * len(nodes)  # the missing side: a lazy one would cost a call per read
+    unbacked = None if any(bad) else [()] * len(nodes)  # cheaper than a lazy empty side
 
     def satisfies(ranking: Ranking) -> bool:
         ranks = ranking._ranks
         rank = [sign * ranks[v] for v in nodes]
         p = _LazyProfiles(good, ranks.__getitem__)
-        q = unbacked if bad is good else _LazyProfiles(bad, ranks.__getitem__)
+        q = unbacked or _LazyProfiles(bad, ranks.__getitem__)
         for clause, i, j in pairs:
             if clause(rank, p, q, i, j):
                 return False
@@ -205,11 +203,9 @@ def _snapshot(
     if positions is not None:
         names = [names[i] for i in positions]
         sides = [[side[i] for i in positions] for side in sides]
-    profiles = [[tuple(sorted(map(rank, group))) for group in side] for side in sides]
-    if len(profiles) == 1:  # a single polarity: no backer on the other side
-        profiles.append([()] * len(names))
+    good, bad = ([tuple(sorted(map(rank, group))) for group in side] for side in sides)
     sign = -1 if graph.mode is Mode.NEGATIVE_ONLY else 1
-    return [sign * rank(v) for v in names], profiles[0], profiles[1]
+    return [sign * rank(v) for v in names], good, bad
 
 
 def pair_violates(
@@ -217,10 +213,7 @@ def pair_violates(
 ) -> str | None:
     """Reason the ordered pair (vi, vj) violates the axiom, or None."""
     _applicable(graph.mode, (axiom,))
-    try:
-        pair = [graph._index[v] for v in (vi, vj)]
-    except KeyError as exc:
-        raise UnknownNodeError(f"unknown node: {exc.args[0]!r}") from None
+    pair = [graph._position(v) for v in (vi, vj)]
     clause, reason = _CLAUSES[axiom]
     return reason if clause(*_snapshot(graph, ranking.rank_of, pair), 0, 1) else None
 

@@ -19,7 +19,7 @@ from .axioms import AXIOMS_BY_MODE, Axiom, AxiomReport, check
 from .certify import CertificateStatus, certify
 from .engine import RefinementTrace, rank_graph
 from .errors import InputError
-from .graphs import ReputationGraph, _lines, parse_graph
+from .graphs import ReputationGraph, _edge_order, _lines, parse_graph
 from .rankings import DEFAULT_ENUMERATION_CAP, Ranking, parse_ranking
 
 
@@ -181,9 +181,7 @@ def cmd_complement(args: argparse.Namespace) -> int:
             "nodes": list(comp.nodes),
             "edges": [
                 {"source": src, "sign": kind.value, "target": dst}
-                for src, dst, kind in sorted(
-                    comp.edges, key=lambda e: (e[0], e[1], e[2].value)
-                )
+                for src, dst, kind in sorted(comp.edges, key=_edge_order)
             ],
         }
         print(_render(payload))

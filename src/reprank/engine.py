@@ -56,11 +56,11 @@ _START: dict[Mode, tuple[int, Literal["above", "below"]]] = {
 def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     """Split levels of the mode's start until no levelmate dominates another.
 
-    The backers are the graph's sides: its one polarity, compared with
-    ``more_important``, or supporters and accusers, compared with
-    ``socially_stronger``. An agent is eligible when it dominates a
-    levelmate and no levelmate dominates it; one exists whenever any
-    levelmate dominates another. Each step splits the level of the
+    The backers are the graph's two sides, own polarity first (the other is
+    empty on one polarity), compared with ``more_important`` on one polarity
+    and with ``socially_stronger`` on both. An agent is eligible when it
+    dominates a levelmate and no levelmate dominates it; one exists whenever
+    any levelmate dominates another. Each step splits the level of the
     lex-smallest eligible agent at its lex-smallest dominated levelmate.
     Nodes are indices in name order, so one walk over them finds both.
 
@@ -73,26 +73,27 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     """
     names = graph.nodes
     n = len(names)
-    sides = graph._backers
+    good, bad = graph._backers
     sign, direction = _START[graph.mode]
-    initial = normalize({v: sign * len(b) for v, b in zip(names, sides[0])})
-    good, bad = sides if len(sides) == 2 else (sides[0], None)
-    backed_by = sides[0] if bad is None else [g | b for g, b in zip(good, bad)]
+    initial = normalize({v: sign * len(b) for v, b in zip(names, good)})
+    backed_by = [g | b for g, b in zip(good, bad)]
     levels = [[graph._index[v] for v in level] for level in initial.levels]
     known: dict[int, bool] = {}  # u * n + v -> u dominates v under current
     idle = bytearray(n)
     current = initial
 
     def stronger(u: int, v: int) -> bool:
-        if bad is None:
+        if graph.mode is not Mode.COMBINED:
             return dominance.more_important(current, good[u], good[v])
         # A group covers only groups no larger than itself, under any ranking.
         if len(good[u]) < len(good[v]) or len(bad[v]) < len(bad[u]):
             return False
         return dominance.socially_stronger(current, graph, names[u], names[v])
 
-    def same(u: int, v: int) -> bool:
-        return all(dominance.equally_strong(current, side[u], side[v]) for side in sides)
+    def same(u: int, v: int) -> bool:  # equal sets have equal profiles
+        return dominance.equally_strong(current, good[u], good[v]) and (
+            bad[u] == bad[v] or dominance.equally_strong(current, bad[u], bad[v])
+        )
 
     def beats(u: int, v: int) -> bool:
         key = u * n + v
@@ -180,8 +181,8 @@ def rank_combined(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     """Rank a mixed-feedback graph via the socially-stronger relation.
 
     Starts all-equal; an agent socially stronger than a tied one moves
-    above, carrying along levelmates whose supporter and accuser sets both
-    match its own exactly.
+    above, carrying along levelmates whose supporters and accusers are
+    equally strong as its own: equal rank profiles, not necessarily equal sets.
     """
     if graph.mode is not Mode.COMBINED:
         raise ModeError("rank_combined needs a combined-mode graph")

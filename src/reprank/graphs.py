@@ -68,10 +68,14 @@ def _collection(value, what: str) -> list:
         raise ValueError(f"{what}, not {value!r}") from None
 
 
-def _check_edge(edge: Edge, mode: Mode, seen: set[Edge]) -> None:
-    """Reject an edge with a bad name, a self-loop, a sign the mode forbids,
-    or one already in ``seen``; otherwise add it there."""
-    src, dst, kind = edge
+def _check_edge(edge: Edge, mode: Mode, seen: set[Edge]) -> Edge:
+    """Reject what is not a triple, a bad name, a self-loop, a sign the mode
+    forbids, or an edge already in ``seen``; otherwise add it there and return it."""
+    try:
+        src, dst, kind = edge
+    except (TypeError, ValueError):  # not iterable, or not three items
+        message = f"an edge must be a (source, target, kind) triple, not {edge!r}"
+        raise ValueError(message) from None
     _check_names([src, dst])
     if src == dst:
         raise ValueError(f"self-loop on {src!r}")
@@ -83,9 +87,11 @@ def _check_edge(edge: Edge, mode: Mode, seen: set[Edge]) -> None:
         if not isinstance(kind, Feedback):
             raise ValueError(f"unknown feedback kind {kind!r}")
         raise ModeError(f"{kind.value!r} edge not allowed in {mode.value} mode")
+    edge = (src, dst, kind)
     if edge in seen:
         raise ValueError(f"duplicate edge {src} {kind.value} {dst}")
     seen.add(edge)
+    return edge
 
 
 class ReputationGraph:
@@ -100,9 +106,10 @@ class ReputationGraph:
     # The adjacency, built once and read by the engine and the checker:
     # ``_index`` maps a name to its position in ``nodes``; ``_incoming[kind]``
     # holds each position's backers of that kind (empty for a kind the mode
-    # forbids); ``_backers`` holds the ``_incoming`` rows of the kinds the
-    # mode admits, in ``Feedback`` order: the sides that rankings compare;
-    # ``_dependents`` holds the positions each position backs, of either kind.
+    # forbids); ``_backers`` holds the two sides that rankings compare, the
+    # graph's own polarity first (supporters on a combined graph), so a
+    # single-polarity graph's second side is empty; ``_dependents`` holds
+    # the positions each position backs, of either kind.
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[Edge], mode: Mode):
         if not isinstance(mode, Mode):
@@ -116,8 +123,8 @@ class ReputationGraph:
         if len(node_set) != len(node_list):
             raise ValueError("duplicate node names")
         edge_set: set[Edge] = set()
-        for src, dst, kind in edge_list:
-            _check_edge((src, dst, kind), mode, edge_set)
+        for edge in edge_list:
+            src, dst, _ = _check_edge(edge, mode, edge_set)
             if src not in node_set or dst not in node_set:
                 raise UnknownNodeError(f"edge {src!r} -> {dst!r} uses an undeclared node")
         self._build(node_set, edge_set, mode)
@@ -134,13 +141,14 @@ class ReputationGraph:
             incoming[kind][index[dst]].add(src)
             dependents[index[src]].add(index[dst])
         frozen = {k: tuple(map(frozenset, b)) for k, b in incoming.items()}
+        pos, neg = frozen[Feedback.POSITIVE], frozen[Feedback.NEGATIVE]
         for name, value in (
             ("nodes", names),
             ("edges", frozenset(edge_set)),
             ("mode", mode),
             ("_index", index),
             ("_incoming", frozen),
-            ("_backers", tuple(frozen[k] for k in Feedback if k in mode.allowed_kinds)),
+            ("_backers", (neg, pos) if mode is Mode.NEGATIVE_ONLY else (pos, neg)),
             ("_dependents", tuple(map(frozenset, dependents))),
         ):
             object.__setattr__(self, name, value)
@@ -176,15 +184,18 @@ class ReputationGraph:
         For single-polarity graphs the kind may be omitted and defaults to
         the graph's own polarity. Combined graphs must name the kind.
         """
-        if kind is None and len(self._backers) != 1:
+        if kind is None and self.mode is Mode.COMBINED:
             raise ValueError("combined graphs need an explicit feedback kind")
         try:
             backers = self._backers[0] if kind is None else self._incoming[kind]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: unhashable, so not a Feedback
             raise ValueError(f"unknown feedback kind {kind!r}") from None
+        return backers[self._position(node)]
+
+    def _position(self, node: str) -> int:
         try:
-            return backers[self._index[node]]
-        except KeyError:
+            return self._index[node]
+        except (KeyError, TypeError):  # TypeError: unhashable, so not a name
             raise UnknownNodeError(f"unknown node: {node!r}") from None
 
     def complement(self) -> "ReputationGraph":
@@ -220,9 +231,13 @@ class ReputationGraph:
         for node in self.nodes:
             if node not in covered:
                 lines.append(f"node {node}")
-        for src, dst, kind in sorted(self.edges, key=lambda e: (e[0], e[1], e[2].value)):
+        for src, dst, kind in sorted(self.edges, key=_edge_order):
             lines.append(f"{src} {kind.value} {dst}")
         return "\n".join(lines) + "\n"
+
+
+def _edge_order(edge: Edge) -> tuple[str, str, str]:
+    return edge[0], edge[1], edge[2].value
 
 
 def _reachable(adjacency: Sequence[Iterable[int]], root: int) -> set[int]:

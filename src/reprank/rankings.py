@@ -21,6 +21,12 @@ from .graphs import _check_names, _collection, _records
 DEFAULT_ENUMERATION_CAP = 8
 
 
+def _mapping(ranks: Mapping[str, int]) -> Mapping[str, int]:
+    if not isinstance(ranks, Mapping):
+        raise ValueError(f"ranks must be a mapping of names to ranks, not {ranks!r}")
+    return ranks
+
+
 def _check_dense(ranks: Mapping[str, int]) -> None:
     used = set(ranks.values())
     if used != set(range(1, len(used) + 1)):
@@ -38,9 +44,7 @@ class Ranking:
     __slots__ = ("_ranks",)
 
     def __init__(self, ranks: Mapping[str, int]):
-        if not isinstance(ranks, Mapping):
-            raise ValueError(f"ranks must be a mapping of names to ranks, not {ranks!r}")
-        if not ranks:
+        if not _mapping(ranks):
             raise ValueError("a ranking needs at least one node")
         _check_names(list(ranks))
         for node, rank in ranks.items():
@@ -98,7 +102,7 @@ class Ranking:
     def rank_of(self, node: str) -> int:
         try:
             return self._ranks[node]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: unhashable, so not a name
             raise UnknownNodeError(f"unknown node: {node!r}") from None
 
     def as_dict(self) -> dict[str, int]:
@@ -126,7 +130,7 @@ class Ranking:
 
 def normalize(raw: Mapping[str, int]) -> Ranking:
     """Compress arbitrary integer scores onto dense ranks, order preserved."""
-    distinct = sorted(set(raw.values()))
+    distinct = sorted(set(_mapping(raw).values()))
     dense = {score: position for position, score in enumerate(distinct, start=1)}
     return Ranking({node: dense[score] for node, score in raw.items()})
 

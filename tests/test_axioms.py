@@ -272,6 +272,8 @@ def test_t_and_m_are_tc_and_mc_without_accusers(n):
         ({"zz": 1}, "zz", "b", "zz"),  # in the ranking only
         ({"a": 1}, "a", "b", "b"),  # in the graph, not in the ranking
         ({"b": 1}, "a", "b", "a"),  # in the graph, not in the ranking
+        ({"a": 1, "b": 2}, ["a"], "b", ["a"]),  # unhashable, so not a name
+        ({"a": 1, "b": 2}, "a", ["b"], ["b"]),
     ],
 )
 def test_pair_violates_unknown_node(ranks, vi, vj, missing):

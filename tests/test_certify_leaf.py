@@ -92,7 +92,7 @@ def test_certify_and_count_match_the_reference_certifier():
 def test_no_preorder_violates_a_skipped_pair():
     skipped_total = 0
     for graph in GRAPHS:
-        good, bad = graph._backers[0], graph._backers[-1]
+        good, bad = graph._backers
         skipped = [
             (axiom, graph.nodes[i], graph.nodes[j])
             for axiom in AXIOMS_BY_MODE[graph.mode]
@@ -112,10 +112,10 @@ def test_equal_backer_sets_keep_their_m_pair():
     # cover the other: T never fails on (b, c), but M fails whenever b is
     # ranked above c, since "no strict cover" holds for equal profiles.
     graph = parse_graph("mode positive\na + b\na + c\n")
-    good = graph._backers[0]
+    good, bad = graph._backers
     b, c = graph._index["b"], graph._index["c"]
-    assert not _may_violate(Axiom.T, good, good, b, c)
-    assert _may_violate(Axiom.M, good, good, b, c)
+    assert not _may_violate(Axiom.T, good, bad, b, c)
+    assert _may_violate(Axiom.M, good, bad, b, c)
     b_over_c = Ranking.from_levels([["b"], ["c"], ["a"]])
     assert reference.first_violation(graph, b_over_c, "M")[:2] == ("b", "c")
     assert not _leaf(graph, [Axiom.M])(b_over_c)

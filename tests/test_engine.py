@@ -155,6 +155,18 @@ def test_combined_starts_all_equal():
     assert trace.initial == Ranking({"a": 1, "b": 1, "c": 1})
 
 
+def test_combined_moves_levelmates_with_equal_profiles_not_equal_sets():
+    # c and d are backed by a and b, tied at the start: equal rank profiles
+    # from different supporter sets, so d moves along with c.
+    g = combined_graph([("a", "c"), ("b", "d")], [], extra_nodes=["e"])
+    ranking, trace = rank_combined(g)
+    assert [
+        (s.index, s.chosen, s.witness, s.moved, s.left_behind, s.direction)
+        for s in trace.steps
+    ] == [(1, "c", "a", ("c", "d"), ("a", "b", "e"), "above")]
+    assert ranking == Ranking.from_levels([["c", "d"], ["a", "b", "e"]])
+
+
 def test_combined_mode_guard():
     with pytest.raises(ModeError):
         rank_combined(positive_graph([("a", "b")]))

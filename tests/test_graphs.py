@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -193,10 +194,12 @@ def test_support_set_unknown_node():
 
 def test_support_set_names_a_bad_kind_not_a_valid_node():
     g = parse_graph("mode positive\na + b\n")
-    with pytest.raises(ValueError, match=r"^unknown feedback kind '\+'$"):
-        g.support_set("a", "+")
-    with pytest.raises(UnknownNodeError, match=r"^unknown node: 'zz'$"):
-        g.support_set("zz", Feedback.POSITIVE)
+    for kind in ("+", []):  # an unhashable kind too, not a TypeError
+        with pytest.raises(ValueError, match=rf"^unknown feedback kind {re.escape(repr(kind))}$"):
+            g.support_set("a", kind)
+    for node in ("zz", ["b"]):
+        with pytest.raises(UnknownNodeError, match=rf"^unknown node: {re.escape(repr(node))}$"):
+            g.support_set(node, Feedback.POSITIVE)
 
 
 def test_support_set_of_multi_backed_node(triangle_with_supporter):
@@ -219,6 +222,12 @@ def test_support_set_never_contains_self(g):
         if g.mode is not Mode.COMBINED:
             (only,) = g.mode.allowed_kinds
             assert g.support_set(node) == g.support_set(node, only)
+        # Two sides on every mode, the graph's own polarity first.
+        sides = (Feedback.NEGATIVE, Feedback.POSITIVE)
+        own, other = sides if g.mode is Mode.NEGATIVE_ONLY else sides[::-1]
+        good, bad = g._backers
+        i = g._index[node]
+        assert (good[i], bad[i]) == (g.support_set(node, own), g.support_set(node, other))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -139,8 +140,9 @@ def test_ranking_survives_copy_and_pickle(round_trip):
 
 
 def test_rank_of_unknown_node():
-    with pytest.raises(UnknownNodeError):
-        Ranking({"a": 1}).rank_of("b")
+    for node in ("b", ["a"]):  # an unhashable one too, not a TypeError
+        with pytest.raises(UnknownNodeError, match=re.escape(f"unknown node: {node!r}")):
+            Ranking({"a": 1}).rank_of(node)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +487,13 @@ SHAPE_BUILDERS = [
         "edges must be a collection of edges",
         "the string 'ab'",
     ),
+    (
+        lambda value: ReputationGraph(["a"], [value], Mode.POSITIVE_ONLY),
+        "an edge must be a (source, target, kind) triple",
+        "'ab'",
+    ),
     (Ranking, "ranks must be a mapping of names to ranks", "'ab'"),
+    (normalize, "ranks must be a mapping of names to ranks", "'ab'"),
     (Ranking.from_levels, "levels must be a collection of levels", "the string 'ab'"),
     (
         lambda value: Ranking.from_levels([["a"], value]),
@@ -511,7 +519,9 @@ SHAPE_BUILDERS = [
     ids=[
         "graph nodes",
         "graph edges",
+        "graph edge",
         "Ranking",
+        "normalize",
         "from_levels levels",
         "from_levels level",
         "enumerate_preorders",
