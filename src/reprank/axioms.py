@@ -11,11 +11,11 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .dominance import Profile, _social
 from .errors import ModeError, NodeSetMismatchError
-from .graphs import Mode, ReputationGraph
+from .graphs import Mode, ReputationGraph, _instance
 from .rankings import Ranking
 
 
@@ -78,10 +78,13 @@ class AxiomReport:
 
 
 # Clauses read node ranks and the sorted rank profiles of supporters (good)
-# and accusers (bad), indexed alike. A single-polarity graph's own polarity is
-# good and its bad side is empty, so T and M are Tc and Mc. A negative graph
-# negates the node ranks, not the profiles: BT and BM read "ranked higher" as "lower".
-Side = Sequence[Profile]
+# and accusers (bad), indexed alike: by position in ``check``, by name in the
+# certifier's leaf. A single-polarity graph's own polarity is good and its bad
+# side is empty, so T and M are Tc and Mc. A negative graph negates the node
+# ranks, not the profiles: BT and BM read "ranked higher" as "lower".
+Key = int | str
+Ranks = Sequence[int] | Mapping[str, int]
+Side = Sequence[Profile] | Mapping[str, Profile]
 Backers = Sequence[frozenset[str]]  # one side's backer sets, by position
 
 
@@ -89,11 +92,11 @@ def _exists_strict_pair(above: Profile, below: Profile) -> bool:
     return bool(above) and bool(below) and above[0] < below[-1]
 
 
-def _violates_t(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> bool:
+def _violates_t(rank: Ranks, good: Side, bad: Side, i: Key, j: Key) -> bool:
     return rank[i] >= rank[j] and _social(good[i], bad[i], good[j], bad[j])
 
 
-def _violates_m(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> bool:
+def _violates_m(rank: Ranks, good: Side, bad: Side, i: Key, j: Key) -> bool:
     return (
         rank[i] < rank[j]
         and not _social(good[i], bad[i], good[j], bad[j])
@@ -102,11 +105,11 @@ def _violates_m(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> b
     )
 
 
-def _violates_vwm(rank: Sequence[int], good: Side, bad: Side, i: int, j: int) -> bool:
+def _violates_vwm(rank: Ranks, good: Side, bad: Side, i: Key, j: Key) -> bool:
     return len(good[i]) <= len(good[j]) + 1 and _violates_m(rank, good, bad, i, j)
 
 
-PairCheck = Callable[[Sequence[int], Side, Side, int, int], bool]
+PairCheck = Callable[[Ranks, Side, Side, Key, Key], bool]
 
 _M_REASON = (
     "ranked strictly higher without supporter dominance and no supporter "
@@ -147,13 +150,13 @@ def _applicable(mode: Mode, axioms: Iterable[Axiom]) -> tuple[Axiom, ...]:
 
 
 class _LazyProfiles(dict):
-    """One side's sorted rank profiles by position, each sorted on first read."""
+    """One side's sorted rank profiles by node name, each sorted on first read."""
 
-    def __init__(self, side: Backers, rank: Callable[[str], int]):
+    def __init__(self, side: Mapping[str, frozenset[str]], rank: Callable[[str], int]):
         self.side, self.rank = side, rank
 
-    def __missing__(self, i: int) -> Profile:
-        profile = self[i] = tuple(sorted(map(self.rank, self.side[i])))
+    def __missing__(self, v: str) -> Profile:
+        profile = self[v] = tuple(sorted(map(self.rank, self.side[v])))
         return profile
 
 
@@ -170,24 +173,32 @@ def _may_violate(axiom: Axiom, good: Backers, bad: Backers, i: int, j: int) -> b
 
 def _leaf(graph: ReputationGraph, axioms: Iterable[Axiom]) -> Callable[[Ranking], bool]:
     """The certifier's test of a ranking of the graph's nodes against every
-    requested axiom: one snapshot, profiles sorted on demand, no report."""
-    good, bad = graph._backers
+    requested axiom: profiles sorted on demand, no report. Pairs are read by
+    name, so the ranks serve as they are on all but a negative graph, and the
+    pair that rejected the last ranking is tested first: consecutive preorders
+    share long prefixes, so it is the likeliest to reject the next one too."""
+    nodes, (good, bad) = graph.nodes, graph._backers
     pairs = [
-        (_CLAUSES[axiom][0], i, j)
+        (_CLAUSES[axiom][0], nodes[i], nodes[j])
         for axiom in _applicable(graph.mode, axioms)
-        for i, j in itertools.permutations(range(len(graph.nodes)), 2)
+        for i, j in itertools.permutations(range(len(nodes)), 2)
         if _may_violate(axiom, good, bad, i, j)
     ]
-    nodes, sign = graph.nodes, -1 if graph.mode is Mode.NEGATIVE_ONLY else 1
-    unbacked = None if any(bad) else [()] * len(nodes)  # cheaper than a lazy empty side
+    negative = graph.mode is Mode.NEGATIVE_ONLY
+    unbacked = None if any(bad) else dict.fromkeys(nodes, ())  # cheaper than a lazy empty side
+    good, bad = dict(zip(nodes, good)), dict(zip(nodes, bad))
 
     def satisfies(ranking: Ranking) -> bool:
         ranks = ranking._ranks
-        rank = [sign * ranks[v] for v in nodes]
+        rank = {v: -r for v, r in ranks.items()} if negative else ranks
         p = _LazyProfiles(good, ranks.__getitem__)
         q = unbacked or _LazyProfiles(bad, ranks.__getitem__)
-        for clause, i, j in pairs:
+        for pair in pairs:
+            clause, i, j = pair
             if clause(rank, p, q, i, j):
+                if pair is not pairs[0]:
+                    pairs.remove(pair)
+                    pairs.insert(0, pair)
                 return False
         return True
 
@@ -212,16 +223,17 @@ def pair_violates(
     graph: ReputationGraph, ranking: Ranking, axiom: Axiom, vi: str, vj: str
 ) -> str | None:
     """Reason the ordered pair (vi, vj) violates the axiom, or None."""
-    _applicable(graph.mode, (axiom,))
+    _applicable(_instance(graph, ReputationGraph).mode, (axiom,))
+    rank_of = _instance(ranking, Ranking).rank_of
     pair = [graph._position(v) for v in (vi, vj)]
     clause, reason = _CLAUSES[axiom]
-    return reason if clause(*_snapshot(graph, ranking.rank_of, pair), 0, 1) else None
+    return reason if clause(*_snapshot(graph, rank_of, pair), 0, 1) else None
 
 
 def check(graph: ReputationGraph, ranking: Ranking, axiom: Axiom) -> AxiomReport:
     """Evaluate one axiom over all ordered pairs of distinct nodes."""
-    _applicable(graph.mode, (axiom,))
-    ranks = ranking._ranks  # read only: a Ranking never changes
+    _applicable(_instance(graph, ReputationGraph).mode, (axiom,))
+    ranks = _instance(ranking, Ranking)._ranks  # read only: a Ranking never changes
     if ranks.keys() != graph._index.keys():
         missing = sorted(graph._index.keys() - ranks.keys())
         extra = sorted(ranks.keys() - graph._index.keys())
@@ -238,4 +250,5 @@ def check(graph: ReputationGraph, ranking: Ranking, axiom: Axiom) -> AxiomReport
 
 def check_all(graph: ReputationGraph, ranking: Ranking) -> list[AxiomReport]:
     """One report per axiom applicable to the graph's mode, in fixed order."""
-    return [check(graph, ranking, axiom) for axiom in AXIOMS_BY_MODE[graph.mode]]
+    axioms = AXIOMS_BY_MODE[_instance(graph, ReputationGraph).mode]
+    return [check(graph, ranking, axiom) for axiom in axioms]

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .axioms import Axiom, _leaf, check
 from .errors import InputError, ModeError
-from .graphs import Mode, ReputationGraph
+from .graphs import Mode, ReputationGraph, _instance
 from .rankings import DEFAULT_ENUMERATION_CAP, Ranking, enumerate_preorders
 
 
@@ -48,7 +48,7 @@ def certify(
 ) -> Certificate:
     """First satisfying preorder, confirmed by ``check``, or UNSAT after all of them."""
     axioms = tuple(axioms)
-    satisfies, examined = _leaf(graph, axioms), 0
+    satisfies, examined = _leaf(_instance(graph, ReputationGraph), axioms), 0
     for examined, ranking in enumerate(enumerate_preorders(graph.nodes, cap=cap), start=1):
         if satisfies(ranking):
             if not all(check(graph, ranking, axiom).passed for axiom in axioms):
@@ -63,7 +63,8 @@ def count_satisfying(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> int:
     """How many total preorders satisfy the whole axiom set."""
-    return sum(map(_leaf(graph, axioms), enumerate_preorders(graph.nodes, cap=cap)))
+    satisfies = _leaf(_instance(graph, ReputationGraph), axioms)
+    return sum(map(satisfies, enumerate_preorders(graph.nodes, cap=cap)))
 
 
 def certify_vwm_strongly_connected(
@@ -75,7 +76,7 @@ def certify_vwm_strongly_connected(
     axiom: callers asking about this restricted family must supply a graph
     that belongs to it.
     """
-    if graph.mode is not Mode.POSITIVE_ONLY:
+    if _instance(graph, ReputationGraph).mode is not Mode.POSITIVE_ONLY:
         raise ModeError("expected a positive-only graph")
     if not graph.is_strongly_connected():
         raise InputError("graph is not strongly connected")

@@ -14,10 +14,10 @@ sorts each node's profiles at most once per ranking and calls the primitives.
 
 from __future__ import annotations
 
+import itertools
 from operator import eq, le
 from typing import AbstractSet, Callable
 
-from .errors import UnknownNodeError
 from .graphs import Feedback, ReputationGraph
 from .rankings import Ranking
 
@@ -42,8 +42,10 @@ def _pair(ranking: Ranking, a: AbstractSet, b: AbstractSet) -> tuple[Profile, Pr
     known, rank = memo[1], ranking._ranks.__getitem__
     try:
         return _profile(known, rank, a), _profile(known, rank, b)
-    except KeyError as exc:
-        raise UnknownNodeError(f"unknown node: {exc.args[0]!r}") from None
+    except (KeyError, TypeError):  # TypeError: an unhashable member, so not a name
+        for member in itertools.chain(a, b):
+            ranking.rank_of(member)  # the first member that is not a node raises
+        raise
 
 
 def _covers(a: Profile, b: Profile) -> bool:

@@ -13,7 +13,7 @@ from typing import Literal
 
 from . import dominance
 from .errors import ModeError
-from .graphs import Mode, ReputationGraph
+from .graphs import Mode, ReputationGraph, _instance
 from .rankings import Ranking, normalize
 
 
@@ -160,7 +160,7 @@ def rank_positive(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     Splits promote an agent whose supporter set strictly dominates a tied
     agent's; the output always satisfies the transitivity axiom.
     """
-    if graph.mode is not Mode.POSITIVE_ONLY:
+    if _instance(graph, ReputationGraph).mode is not Mode.POSITIVE_ONLY:
         raise ModeError("rank_positive needs a positive-only graph")
     return _refine(graph)
 
@@ -172,7 +172,7 @@ def rank_negative(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     dominates (is more reliable than) a tied agent's gets pushed below its
     level. The output always satisfies the accusation-transitivity axiom.
     """
-    if graph.mode is not Mode.NEGATIVE_ONLY:
+    if _instance(graph, ReputationGraph).mode is not Mode.NEGATIVE_ONLY:
         raise ModeError("rank_negative needs a negative-only graph")
     return _refine(graph)
 
@@ -184,11 +184,11 @@ def rank_combined(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     above, carrying along levelmates whose supporters and accusers are
     equally strong as its own: equal rank profiles, not necessarily equal sets.
     """
-    if graph.mode is not Mode.COMBINED:
+    if _instance(graph, ReputationGraph).mode is not Mode.COMBINED:
         raise ModeError("rank_combined needs a combined-mode graph")
     return _refine(graph)
 
 
 def rank_graph(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     """Rank a graph of any mode: the mode picks the start and the split direction."""
-    return _refine(graph)
+    return _refine(_instance(graph, ReputationGraph))

@@ -68,6 +68,13 @@ def _collection(value, what: str) -> list:
         raise ValueError(f"{what}, not {value!r}") from None
 
 
+def _instance(value, cls: type):
+    """``value``, refused unless it is a ``cls``: the public calls' one type check."""
+    if not isinstance(value, cls):
+        raise ValueError(f"expected a {cls.__name__}, not {value!r}")
+    return value
+
+
 def _check_edge(edge: Edge, mode: Mode, seen: set[Edge]) -> Edge:
     """Reject what is not a triple, a bad name, a self-loop, a sign the mode
     forbids, or an edge already in ``seen``; otherwise add it there and return it."""

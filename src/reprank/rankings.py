@@ -155,31 +155,27 @@ def enumerate_preorders(
         raise EnumerationCapError(
             f"{len(ordered)} nodes exceeds the enumeration cap of {cap}"
         )
-    for levels in _ordered_partitions(ordered):
-        ranks = {node: rank for rank, level in enumerate(levels, start=1) for node in level}
-        yield object.__new__(Ranking)._fill(ranks)
-
-
-def _ordered_partitions(pool: tuple[str, ...]) -> Iterator[tuple[tuple[str, ...], ...]]:
-    """Each first block of a non-empty sorted pool in (size, lex) order, then every
-    ordered partition of the rest; depth-first on a stack of (blocks, candidates)."""
-
     @functools.cache
-    def splits(rest: tuple[str, ...]) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    def splits(rest: tuple[str, ...], depth: int) -> list[tuple[dict[str, int], tuple[str, ...]]]:
+        """Each first block of ``rest`` in (size, lex) order, as its ranks at
+        ``depth``, with what it leaves."""
         return [
-            (block, tuple(n for n in rest if n not in block))
+            (dict.fromkeys(block, depth), tuple(n for n in rest if n not in block))
             for size in range(1, len(rest) + 1)
             for block in itertools.combinations(rest, size)
         ]
 
-    stack = [((), iter(splits(pool)))]
+    # Depth first on a stack of (ranks placed so far, candidate splits), so each
+    # preorder's ranks are its prefix's merged with its last block's.
+    stack = [({}, iter(splits(ordered, 1)))]
     while stack:
-        prefix, candidates = stack[-1]
+        placed, candidates = stack[-1]
         for block, rest in candidates:
+            ranks = placed | block
             if rest:
-                stack.append(((*prefix, block), iter(splits(rest))))
+                stack.append((ranks, iter(splits(rest, len(stack) + 1))))
                 break
-            yield (*prefix, block)
+            yield object.__new__(Ranking)._fill(ranks)
         else:
             stack.pop()
 

@@ -20,6 +20,7 @@ from conftest import (
 from reprank import (
     AXIOMS_BY_MODE,
     Axiom,
+    Feedback,
     Mode,
     ModeError,
     NodeSetMismatchError,
@@ -27,6 +28,7 @@ from reprank import (
     ReputationGraph,
     UnknownNodeError,
     certify,
+    certify_vwm_strongly_connected,
     check,
     check_all,
     count_satisfying,
@@ -34,6 +36,10 @@ from reprank import (
     more_important,
     normalize,
     pair_violates,
+    rank_combined,
+    rank_graph,
+    rank_negative,
+    rank_positive,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
@@ -280,6 +286,40 @@ def test_pair_violates_unknown_node(ranks, vi, vj, missing):
     g = positive_graph([("a", "b")])
     with pytest.raises(UnknownNodeError, match=re.escape(f"unknown node: {missing!r}")):
         pair_violates(g, Ranking(ranks), Axiom.T, vi, vj)
+
+
+# Each public call that takes a graph or a ranking, given a wrong value in that
+# place; the graph and ranking it takes otherwise are _G and _R.
+_G = ReputationGraph(["a", "b"], [("a", "b", Feedback.POSITIVE)], Mode.POSITIVE_ONLY)
+_R = Ranking({"a": 1, "b": 2})
+TYPED_ENTRIES = {
+    "check graph": (lambda bad: check(bad, _R, Axiom.T), ReputationGraph),
+    "check ranking": (lambda bad: check(_G, bad, Axiom.T), Ranking),
+    "check_all graph": (lambda bad: check_all(bad, _R), ReputationGraph),
+    "check_all ranking": (lambda bad: check_all(_G, bad), Ranking),
+    "pair_violates graph": (lambda bad: pair_violates(bad, _R, Axiom.T, "a", "b"), ReputationGraph),
+    "pair_violates ranking": (lambda bad: pair_violates(_G, bad, Axiom.T, "a", "b"), Ranking),
+    "rank_graph": (rank_graph, ReputationGraph),
+    "rank_positive": (rank_positive, ReputationGraph),
+    "rank_negative": (rank_negative, ReputationGraph),
+    "rank_combined": (rank_combined, ReputationGraph),
+    "certify": (lambda bad: certify(bad, [Axiom.T]), ReputationGraph),
+    "count_satisfying": (lambda bad: count_satisfying(bad, [Axiom.T]), ReputationGraph),
+    "certify_vwm_strongly_connected": (certify_vwm_strongly_connected, ReputationGraph),
+}
+
+
+@pytest.mark.parametrize("bad", [None, {"a": 1, "b": 2}, "mode positive\na + b\n"], ids=repr)
+@pytest.mark.parametrize("entry", sorted(TYPED_ENTRIES))
+def test_every_public_call_refuses_a_graph_or_ranking_of_another_type(entry, bad):
+    # A ValueError naming the type expected, not an AttributeError from inside;
+    # a ranking where a graph belongs, or a graph where a ranking does, too.
+    call, expected = TYPED_ENTRIES[entry]
+    for value in (bad, _R if expected is ReputationGraph else _G):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"expected a {expected.__name__}, not {value!r}"
 
 
 def test_pair_violates_reads_only_the_pair_and_its_backers():

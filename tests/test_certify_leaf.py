@@ -26,6 +26,7 @@ from reprank import (
     Ranking,
     certify,
     count_satisfying,
+    enumerate_preorders,
     parse_graph,
 )
 from reprank.axioms import _leaf, _may_violate
@@ -87,6 +88,27 @@ def test_certify_and_count_match_the_reference_certifier():
                 assert cert.status is CertificateStatus.SAT, context
                 assert (cert.witness, cert.examined) == (rankings[first], first + 1), context
             assert count_satisfying(graph, axioms) == sum(satisfied), context
+
+
+def test_one_leaf_across_the_enumeration_answers_as_a_fresh_leaf():
+    # The leaf moves a pair that rejects a preorder to the front of its list, so
+    # its verdict at each preorder must not depend on the preorders before it.
+    for graph in GRAPHS:
+        rankings = list(enumerate_preorders(graph.nodes))
+        for axioms in axiom_subsets(graph.mode):
+            satisfies = _leaf(graph, axioms)
+            for ranking in rankings:
+                expected = _leaf(graph, axioms)(ranking)
+                assert satisfies(ranking) is expected, (graph.serialize(), axioms, ranking)
+
+
+def test_t_and_m_on_the_seven_node_baseline_graph():
+    # The certifier baseline: 47,293 preorders, 27 of them satisfying, the
+    # first after 26,242, on a graph whose leaf sees many rejecting pairs.
+    graph = random_graph(random.Random(7), 7, 0.4, Mode.POSITIVE_ONLY)
+    assert count_satisfying(graph, [Axiom.T, Axiom.M]) == 27
+    cert = certify(graph, [Axiom.T, Axiom.M])
+    assert (cert.status, cert.examined) == (CertificateStatus.SAT, 26_242)
 
 
 def test_no_preorder_violates_a_skipped_pair():

@@ -86,6 +86,15 @@ def test_unknown_member_raises():
     r = Ranking({"a": 1})
     with pytest.raises(UnknownNodeError):
         at_least_as_strong(r, {"zz"}, set())
+    # An unhashable member is not a name either, as rank_of says.
+    r = Ranking({"a": 1, "b": 2})
+    for relation in (at_least_as_strong, equally_strong, more_important):
+        with pytest.raises(UnknownNodeError) as info:
+            relation(r, [["a"]], ["b"])
+        assert str(info.value) == "unknown node: ['a']"
+        with pytest.raises(UnknownNodeError) as info:
+            relation(r, {"a"}, {"b", "zz"})
+        assert str(info.value) == "unknown node: 'zz'"
 
 
 # ---------------------------------------------------------------------------

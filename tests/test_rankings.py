@@ -283,11 +283,13 @@ def test_enumeration_matches_the_recursive_reference(n):
     enumerated = list(enumerate_preorders(reversed(nodes)))
     assert [r.levels for r in enumerated] == expected
     assert len(enumerated) == preorder_count(n)
-    for r in enumerated:
-        built = Ranking.from_levels(r.levels)
-        assert list(r.as_dict().items()) == list(built.as_dict().items())
+    # Each preorder is built from its prefix's ranks: the same ranks, inserted in
+    # the same order as from_levels inserts them, and no dict shared between two.
+    for r, built in zip(enumerated, map(Ranking.from_levels, expected)):
+        assert list(r._ranks.items()) == list(built._ranks.items())
         assert r.levels == built.levels
         assert r == built and hash(r) == hash(built)
+    assert len({id(r._ranks) for r in enumerated}) == len(enumerated)
 
 
 def test_enumeration_refuses_an_invalid_name_at_the_first_preorder():
