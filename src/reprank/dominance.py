@@ -102,11 +102,11 @@ def socially_stronger(
     read only once the accusers pass, and compared for equality only when
     the accusers were strict.
     """
-    bad_u, bad_v = (graph.support_set(n, Feedback.NEGATIVE) for n in (u, v))
-    bad_strict = more_important(ranking, bad_v, bad_u)
-    if not (bad_strict or equally_strong(ranking, bad_u, bad_v)):
+    iu, iv = graph._position(u), graph._position(v)
+    good, bad = graph._incoming[Feedback.POSITIVE], graph._incoming[Feedback.NEGATIVE]
+    bad_strict = more_important(ranking, bad[iv], bad[iu])
+    if not (bad_strict or equally_strong(ranking, bad[iu], bad[iv])):
         return False
-    good_u, good_v = (graph.support_set(n, Feedback.POSITIVE) for n in (u, v))
-    if more_important(ranking, good_u, good_v):
+    if more_important(ranking, good[iu], good[iv]):
         return True
-    return bad_strict and equally_strong(ranking, good_u, good_v)
+    return bad_strict and equally_strong(ranking, good[iu], good[iv])

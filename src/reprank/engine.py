@@ -77,25 +77,32 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     sign, direction = _START[graph.mode]
     initial = normalize({v: sign * len(b) for v, b in zip(names, good)})
     backed_by = [g | b for g, b in zip(good, bad)]
+    size_good, size_bad = [len(g) for g in good], [len(b) for b in bad]
     levels = [[graph._index[v] for v in level] for level in initial.levels]
     known: dict[int, bool] = {}  # u * n + v -> u dominates v under current
     idle = bytearray(n)
     current = initial
 
-    def stronger(u: int, v: int) -> bool:
-        if graph.mode is not Mode.COMBINED:
+    if graph.mode is Mode.COMBINED:
+        def stronger(u: int, v: int) -> bool:
+            return dominance.socially_stronger(current, graph, names[u], names[v])
+    else:
+        def stronger(u: int, v: int) -> bool:
             return dominance.more_important(current, good[u], good[v])
-        # A group covers only groups no larger than itself, under any ranking.
-        if len(good[u]) < len(good[v]) or len(bad[v]) < len(bad[u]):
-            return False
-        return dominance.socially_stronger(current, graph, names[u], names[v])
 
-    def same(u: int, v: int) -> bool:  # equal sets have equal profiles
+    def same(u: int, v: int) -> bool:
+        # Equal profiles need equal sizes, and equal sets have equal profiles.
+        if size_good[u] != size_good[v] or size_bad[u] != size_bad[v]:
+            return False
         return dominance.equally_strong(current, good[u], good[v]) and (
             bad[u] == bad[v] or dominance.equally_strong(current, bad[u], bad[v])
         )
 
     def beats(u: int, v: int) -> bool:
+        # A group covers only groups no larger than itself, under any ranking,
+        # so such a pair is decided here and never cached.
+        if size_good[u] < size_good[v] or size_bad[v] < size_bad[u]:
+            return False
         key = u * n + v
         result = known.get(key)
         if result is None:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    NEG,
+    POS,
     combined_graph,
     graphs,
     negative_graph,
@@ -224,7 +226,7 @@ def test_positive_respects_support_counts():
 # the engine's caching: larger graphs against the reference, and its work
 
 
-@pytest.mark.parametrize("n", [40, 60])
+@pytest.mark.parametrize("n", [40, 60, 80])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_combined_engine_matches_the_reference_on_larger_graphs(n, seed):
     # About four supporters and four accusers per node: many splits land on
@@ -234,24 +236,90 @@ def test_combined_engine_matches_the_reference_on_larger_graphs(n, seed):
     assert rank_graph(g) == reference.rank_graph(g)
 
 
+def hub_graph():
+    # h supports everyone and is accused by the x's it accuses, so side sizes
+    # run from 0 to 5 and most pairs are decided by sizes alone. c and d have
+    # equal-size sides from different sets ({a, h} and {b, h}; {p} and {q})
+    # whose profiles are equal while a = b and p = q, so d must move with c.
+    xs = ["x1", "x2", "x3", "x4"]
+    others = ["a", "b", "c", "d", "p", "q", *xs]
+    supports = [("h", v) for v in others] + [(x, v) for x in xs for v in "ab"]
+    accuses = [("p", "c"), ("q", "d")] + [(x, "h") for x in xs] + [("h", x) for x in xs]
+    return combined_graph(supports + [("a", "c"), ("b", "d")], accuses)
+
+
+def test_combined_engine_moves_equal_profiles_among_unequal_sizes():
+    g = hub_graph()
+    ranking, trace = rank_graph(g)
+    assert (ranking, trace) == reference.rank_graph(g)
+    assert [(s.chosen, s.witness, s.moved) for s in trace.steps] == [
+        ("a", "c", ("a", "b")),
+        ("c", "h", ("c", "d")),
+        ("p", "h", ("p", "q")),
+        ("x1", "h", ("x1", "x2", "x3", "x4")),
+    ]
+
+
 @pytest.mark.parametrize(
     "mode, calls",
-    [(Mode.POSITIVE_ONLY, 661), (Mode.NEGATIVE_ONLY, 463)],
-    ids=lambda value: getattr(value, "value", value),
+    [
+        (Mode.POSITIVE_ONLY, {"more_important": 661}),
+        (Mode.NEGATIVE_ONLY, {"more_important": 463}),
+        (Mode.COMBINED, {"socially_stronger": 1554, "equally_strong": 1359}),
+    ],
+    ids=lambda value: getattr(value, "value", None) or "-".join(map(str, value.values())),
 )
 def test_engine_compares_only_what_a_split_changed(monkeypatch, mode, calls):
     # A comparison is redone only when a split may have changed it, and an
     # agent found ineligible is walked again only when its verdict may have
-    # changed; a coarser cache or a full rescan makes more calls.
+    # changed; a coarser cache or a full rescan makes more calls. A pair whose
+    # side sizes rule it out makes none (the combined row's equally_strong
+    # count includes the calls socially_stronger makes itself).
     g = random_graph(random.Random(f"engine-calls-{mode.value}"), 60, 4 / 59, mode)
-    made = []
-    more_important = reprank.dominance.more_important
+    made = dict.fromkeys(calls, 0)
+    for name in calls:
+        def counting(*args, name=name, relation=getattr(reprank.dominance, name)):
+            made[name] += 1
+            return relation(*args)
 
-    def counting(*args):
-        made.append(None)
-        return more_important(*args)
-
-    monkeypatch.setattr(reprank.dominance, "more_important", counting)
+        monkeypatch.setattr(reprank.dominance, name, counting)
     result = rank_graph(g)
-    assert len(made) == calls
+    assert made == calls
     assert result == reference.rank_graph(g)
+
+
+@pytest.mark.parametrize("n", [0, 12, 30, 60], ids=lambda n: f"n{n}" if n else "hub")
+def test_size_excluded_pairs_never_reach_dominance(monkeypatch, n):
+    # u can be socially stronger than v only if |supporters(u)| >= |supporters(v)|
+    # and |accusers(v)| >= |accusers(u)|, and u and v are equally strong only if
+    # both sizes are equal; the engine decides every other pair itself.
+    rng = random.Random(f"engine-sizes-{n}")
+    graph = random_graph(rng, n, 4 / (n - 1), Mode.COMBINED) if n else hub_graph()
+    sizes = {
+        v: (len(graph.support_set(v, POS)), len(graph.support_set(v, NEG)))
+        for v in graph.nodes
+    }
+    socially_stronger = reprank.dominance.socially_stronger
+    equally_strong = reprank.dominance.equally_strong
+    seen = {"socially_stronger": [], "equally_strong": []}
+    inside = []
+
+    def stronger(ranking, g, u, v):
+        (good_u, bad_u), (good_v, bad_v) = sizes[u], sizes[v]
+        seen["socially_stronger"].append(good_u < good_v or bad_v < bad_u)
+        inside.append(None)
+        try:
+            return socially_stronger(ranking, g, u, v)
+        finally:
+            inside.pop()
+
+    def equally(ranking, a, b):
+        if not inside:  # the engine's own call, on one side of two levelmates
+            seen["equally_strong"].append(len(a) != len(b))
+        return equally_strong(ranking, a, b)
+
+    monkeypatch.setattr(reprank.dominance, "socially_stronger", stronger)
+    monkeypatch.setattr(reprank.dominance, "equally_strong", equally)
+    rank_graph(graph)
+    assert all(seen.values()), "both relations are called"
+    assert not any(seen["socially_stronger"]) and not any(seen["equally_strong"])
