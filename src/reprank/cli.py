@@ -12,7 +12,6 @@ import json
 import os
 import pathlib
 import sys
-from dataclasses import asdict
 from typing import Sequence
 
 from .axioms import AXIOMS_BY_MODE, Axiom, AxiomReport, check
@@ -60,31 +59,54 @@ def _positive_int(text: str) -> int:
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _render(value: object, indent: str = "") -> str:
+def _render(value: object) -> str:
     """``json.dumps(value, indent=2)``, a ``Ranking`` as its ``{"node", "rank"}``
-    list; strings stay in C where indenting moves ``json.dumps`` to Python."""
-    if isinstance(value, str):
-        return _escape(value)
+    list: every piece goes to one list, joined once, so no nested text is copied again."""
+    return "".join(_write(value, "", []))
+
+
+@functools.lru_cache(maxsize=8)  # a rank --trace output uses three, one per indent
+def _ranking_template(names: tuple[str, ...], indent: str) -> str:
+    """A ranking over ``names`` at ``indent``, with a ``%d`` for each rank in
+    name order and each ``%`` in a name doubled."""
     inner = indent + "  "
-    if isinstance(value, Ranking):
-        ranks = value.as_dict()
-        head, close = f'{inner}{{\n{inner}  "node": ', f"\n{inner}}}"
-        rows = [f'{_escape(n)},\n{inner}  "rank": {ranks[n]}' for n in sorted(ranks)]
-        return f"[\n{head}" + f"{close},\n{head}".join(rows) + f"{close}\n{indent}]"
-    if isinstance(value, dict):
-        items = [f"{inner}{_escape(k)}: {_render(v, inner)}" for k, v in value.items()]
-    elif isinstance(value, (list, tuple)):
-        items = [inner + _render(v, inner) for v in value]
-    else:
-        return json.dumps(value)
-    start, end = "{}" if isinstance(value, dict) else "[]"
-    if not items:
-        return start + end
-    return f"{start}\n" + ",\n".join(items) + f"\n{indent}{end}"
+    row = f'{inner}{{\n{inner}  "node": %s,\n{inner}  "rank": %%d\n{inner}}}'
+    rows = [row % _escape(name).replace("%", "%%") for name in names]
+    return "[\n" + ",\n".join(rows) + f"\n{indent}]"
+
+
+def _write(value: object, indent: str, out: list[str]) -> list[str]:
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif type(value) is int:  # not a bool
+        out.append(repr(value))
+    elif isinstance(value, Ranking):
+        ranks, names = value.as_dict(), value.nodes
+        out.append(_ranking_template(names, indent) % tuple(map(ranks.__getitem__, names)))
+    elif isinstance(value, (dict, list, tuple)) and value:
+        inner = indent + "  "
+        head, start = ",\n" + inner, len(out)
+        if isinstance(value, dict):
+            for key, item in value.items():
+                out += head, _escape(key), ": "
+                _write(item, inner, out)
+        else:
+            try:  # only strings: one join in C; any other item raises at once
+                out += head, head.join(map(_escape, value))
+            except TypeError:
+                for item in value:
+                    out.append(head)
+                    _write(item, inner, out)
+        opening, closing = "{}" if isinstance(value, dict) else "[]"
+        out[start] = f"{opening}\n{inner}"  # the first item's head
+        out.append(f"\n{indent}{closing}")
+    else:  # None, a bool, a float or an empty collection
+        out.append(json.dumps(value))
+    return out
 
 
 def _report_json(report: AxiomReport) -> dict[str, object]:
-    witness = asdict(report.witness) if report.witness is not None else None
+    witness = vars(report.witness) if report.witness is not None else None
     return {"axiom": report.axiom.value, "passed": report.passed, "witness": witness}
 
 

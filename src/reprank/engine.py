@@ -78,7 +78,8 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     initial = normalize({v: sign * len(b) for v, b in zip(names, good)})
     backed_by = [g | b for g, b in zip(good, bad)]
     size_good, size_bad = [len(g) for g in good], [len(b) for b in bad]
-    levels = [[graph._index[v] for v in level] for level in initial.levels]
+    name_levels = list(initial.levels)  # the same levels as below, by name
+    levels = [[graph._index[v] for v in level] for level in name_levels]
     known: dict[int, bool] = {}  # u * n + v -> u dominates v under current
     idle = bytearray(n)
     current = initial
@@ -134,7 +135,8 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
         left_behind = [v for v in tied if v not in moved]
         split = [moved, left_behind] if direction == "above" else [left_behind, moved]
         levels[k : k + 1] = split
-        current = Ranking.from_levels([names[v] for v in level] for level in levels)
+        name_levels[k : k + 1] = [tuple(names[v] for v in level) for level in split]
+        current = Ranking.from_levels(name_levels)
         for v in tied:
             idle[v] = 0
         smaller, larger = sorted((moved, left_behind), key=len)

@@ -38,6 +38,20 @@ def ranked_graphs(mode: Mode) -> list:
     return [(graph, rank_graph(graph)[0]) for graph in graphs]
 
 
+def tally(ranked: list, axioms: tuple) -> tuple[list[int], int]:
+    """The edge counts of the UNSAT graphs, and how many graphs the engine
+    missed: some ranking satisfies the axioms but the engine's does not."""
+    unsat_edges, missed = [], 0
+    for graph, ranking in ranked:
+        engine_passes = all(check(graph, ranking, axiom).passed for axiom in axioms)
+        if certify(graph, axioms).status is CertificateStatus.UNSAT:
+            assert not engine_passes, graph.serialize()
+            unsat_edges.append(len(graph.edges))
+        else:
+            missed += not engine_passes
+    return unsat_edges, missed
+
+
 @pytest.mark.parametrize(
     "mode, axioms, graphs, unsat, missed",
     [
@@ -49,19 +63,20 @@ def ranked_graphs(mode: Mode) -> list:
     ids=["positive T,M", "positive T,VWM", "negative BT,BM", "combined Tc,Mc"],
 )
 def test_atlas_counts_at_three_nodes(mode, axioms, graphs, unsat, missed):
-    # missed: graphs where some ranking satisfies the pair but the engine's does not.
-    unsat_edges, missed_count = [], 0
-    for graph, ranking in ranked_graphs(mode):
-        engine_passes = all(check(graph, ranking, axiom).passed for axiom in axioms)
-        if certify(graph, axioms).status is CertificateStatus.UNSAT:
-            assert not engine_passes, graph.serialize()
-            unsat_edges.append(len(graph.edges))
-        else:
-            missed_count += not engine_passes
+    unsat_edges, missed_count = tally(ranked_graphs(mode), axioms)
     assert len(ranked_graphs(mode)) == graphs
     assert (len(unsat_edges), missed_count) == (unsat, missed)
     if unsat_edges:  # the fewest-edge UNSAT graphs have 3 edges
         assert min(unsat_edges) == 3
+
+
+def test_atlas_counts_for_strongly_connected_graphs_at_three_nodes():
+    # The setting of certify_vwm_strongly_connected: VWM with T on strongly
+    # connected positive graphs. Half are UNSAT, and the fewest-edge one has 4 edges.
+    ranked = [(g, r) for g, r in ranked_graphs(Mode.POSITIVE_ONLY) if g.is_strongly_connected()]
+    unsat_edges, missed = tally(ranked, (Axiom.T, Axiom.VWM))
+    assert (len(ranked), len(unsat_edges), missed) == (18, 9, 0)
+    assert min(unsat_edges) == 4
 
 
 def test_engine_output_passes_transitivity_on_every_three_node_graph():

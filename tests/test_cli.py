@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import reprank
 from conftest import random_graph
 from reprank import AXIOMS_BY_MODE, Mode, Ranking, normalize, parse_graph, parse_ranking
-from reprank.cli import _read_text, _render, main
+from reprank.cli import _ranking_template, _read_text, _render, main
 
 POS_PATH = "mode positive\na + b\nb + c\n"
 NEG_PATH = "mode negative\na - b\nb - c\n"
@@ -361,7 +361,8 @@ def _is_name(text):
     return True
 
 
-AWKWARD = ['a"b', "c\\d", "x/y", "é", "中", "\U0001d11e", "\\u0041"]
+# The last three exercise the % templates a Ranking is rendered with.
+AWKWARD = ['a"b', "c\\d", "x/y", "é", "中", "\U0001d11e", "\\u0041", "a%d", "%%", "%s"]
 names = st.one_of(st.sampled_from(AWKWARD), st.text(min_size=1, max_size=5).filter(_is_name))
 
 
@@ -399,6 +400,26 @@ def _expand(value):
 @given(payloads)
 def test_render_equals_json_dumps(payload):
     assert _render(payload) == json.dumps(_expand(payload), indent=2)
+
+
+def test_render_past_the_template_cache_equals_json_dumps():
+    # More (node set, indent) templates than the cache holds, taken in
+    # alternation, so every render after the first round follows an eviction.
+    size = _ranking_template.cache_info().maxsize
+    rankings = [normalize({"%s": 1, f"n{k}%d": k % 3, "z%%": 2}) for k in range(size)]
+    payloads = rankings + [{"x": [r]} for r in rankings]  # two indents per node set
+    for _ in range(3):
+        for payload in payloads:
+            assert _render(payload) == json.dumps(_expand(payload), indent=2)
+    assert _ranking_template.cache_info().currsize == size
+
+
+def test_rank_trace_json_on_sixty_nodes_equals_json_dumps(write_file, capsys):
+    g = random_graph(random.Random(60), 60, 4 / 59, Mode.POSITIVE_ONLY)
+    assert main(["rank", write_file("g", g.serialize()), "--trace", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert len(json.loads(out)["trace"]["steps"]) > 10
 
 
 AWKWARD_GRAPH = 'mode positive\na"b + c\\d\nc\\d + é\né + 中\n中 + a"b\na"b + é\n'
