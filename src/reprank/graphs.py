@@ -45,14 +45,14 @@ Edge = tuple[str, str, Feedback]
 
 
 def _check_names(names: list) -> None:
-    # Each name is one printable whitespace-free token without '#', which starts a
-    # comment in both text formats; valid names cost one pass over their joined text.
+    # Names are printable tokens without whitespace or '#', which starts a comment in both
+    # formats. Only ' ' is printable of what str.split() breaks at, so count the join's spaces.
     try:
         text = " ".join(names)
-    except TypeError:  # a name that is not a str
-        text = ""
-    if text.split() != names or not text.isprintable() or "#" in text:
-        for name in names:  # a tuple never equals its split, so callers pass lists
+    except TypeError:  # a name that is not a str: the loop below names it
+        text = "#"
+    if text.count(" ") >= len(names) or "#" in text or not text.isprintable() or not all(names):
+        for name in names:
             ok = isinstance(name, str) and name.split() == [name] and name.isprintable()
             if not ok or "#" in name:
                 raise ValueError(f"invalid node name {name!r}")
@@ -258,7 +258,7 @@ def _reachable(adjacency: Sequence[Iterable[int]], root: int) -> set[int]:
     return seen
 
 
-_MODES_BY_NAME = {m.value: m for m in Mode}
+_HEADERS = {("mode", m.value): m for m in Mode}
 _KINDS_BY_SIGN = {k.value: k for k in Feedback}
 
 
@@ -282,34 +282,39 @@ def parse_graph(text: str) -> ReputationGraph:
     a node may itself be named ``node``. Blank lines and ``#`` comments are
     ignored. Edge endpoints are declared implicitly.
     """
-    mode: Mode | None = None
-    nodes: set[str] = set()
-    edges: set[Edge] = set()
+    records = _records(text)
+    mode = _HEADERS.get(tuple(records[0][1])) if records else None
+    edges = [t for _, t in records[1:] if len(t) == 3]
+    declared = [t[1] for _, t in records[1:] if len(t) == 2 and t[0] == "node"]
+    src, signs, dst = zip(*edges) if edges else ((), (), ())
+    kinds = [*map(_KINDS_BY_SIGN.get, signs)]
+    edge_set = set(zip(src, dst, kinds))
+    nodes = {*src, *dst, *declared}
+    # Fault-free text passes each rule as one test over all its lines (tokens hold no
+    # whitespace or '#'); text with a fault is walked line by line to name its first.
+    if (
+        mode is not None and nodes and len(edges) + len(declared) == len(records) - 1
+        and _KINDS_BY_MODE[mode].issuperset(kinds) and not any(map(str.__eq__, src, dst))
+        and len(edge_set) == len(edges) and " ".join(nodes).isprintable()
+    ):
+        return object.__new__(ReputationGraph)._build(nodes, edge_set, mode)
+    mode, seen = None, set()
     try:
-        for line_no, tokens in _records(text):
+        for line_no, tokens in records:
             if mode is None:
                 if len(tokens) != 2 or tokens[0] != "mode":
                     raise ValueError("expected header 'mode positive|negative|combined'")
-                mode = _MODES_BY_NAME.get(tokens[1])
+                mode = _HEADERS.get(tuple(tokens))
                 if mode is None:
                     raise ValueError(f"unknown mode {tokens[1]!r}")
             elif len(tokens) == 2 and tokens[0] == "node":
                 _check_names(tokens[1:])
-                nodes.add(tokens[1])
             elif len(tokens) != 3:
                 raise ValueError("expected 'SOURCE SIGN TARGET' or 'node NAME'")
+            elif tokens[1] not in _KINDS_BY_SIGN:
+                raise ValueError(f"unknown sign {tokens[1]!r} (use + or -)")
             else:
-                src, sign, dst = tokens
-                kind = _KINDS_BY_SIGN.get(sign)
-                if kind is None:
-                    raise ValueError(f"unknown sign {sign!r} (use + or -)")
-                _check_edge((src, dst, kind), mode, edges)
-                nodes.add(src)
-                nodes.add(dst)
+                _check_edge((tokens[0], tokens[2], _KINDS_BY_SIGN[tokens[1]]), mode, seen)
     except (ValueError, ModeError) as exc:
         raise ParseError(str(exc), line_no) from None
-    if mode is None:
-        raise ParseError("missing 'mode' header")
-    if not nodes:
-        raise ParseError("graph has no nodes")
-    return object.__new__(ReputationGraph)._build(nodes, edges, mode)
+    raise ParseError("missing 'mode' header" if mode is None else "graph has no nodes")

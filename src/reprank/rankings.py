@@ -11,11 +11,7 @@ import functools
 import itertools
 from collections.abc import Iterable, Iterator, Mapping
 
-from .errors import (
-    EnumerationCapError,
-    ParseError,
-    UnknownNodeError,
-)
+from .errors import EnumerationCapError, ParseError, UnknownNodeError
 from .graphs import _check_names, _collection, _records
 
 DEFAULT_ENUMERATION_CAP = 8
@@ -67,10 +63,9 @@ class Ranking:
     @classmethod
     def from_levels(cls, levels: Iterable[Iterable[str]]) -> "Ranking":
         """Build a ranking from importance levels, most important first."""
-        levels = [  # the level structure is checked before any name
-            _collection(level, "a level must be a collection of names")
-            for level in _collection(levels, "levels must be a collection of levels")
-        ]
+        levels = _collection(levels, "levels must be a collection of levels")
+        if not {*map(type, levels)} <= {tuple, list}:  # the structure is checked before any name
+            levels = [_collection(lvl, "a level must be a collection of names") for lvl in levels]
         if not all(levels):
             raise ValueError("levels must be non-empty")
         names = list(itertools.chain.from_iterable(levels))

@@ -6,6 +6,7 @@ import copy
 import pickle
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,39 @@ def test_invalid_node_names_rejected():
     for bad in ("", "two words", "tab\tname", "a#b", "#"):
         with pytest.raises(ValueError):
             ReputationGraph([bad], [], Mode.POSITIVE_ONLY)
+
+
+# Every character str.split() breaks at, over all code points of this Python.
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+
+
+def test_only_the_space_is_whitespace_and_printable():
+    # The premise of _check_names: joined text that is printable holds no
+    # whitespace but the spaces that join it, so counting them is enough.
+    assert [c for c in WHITESPACE if c.isprintable()] == [" "]
+
+
+@pytest.mark.parametrize(
+    "char", [*WHITESPACE, "#", "\x00", "\x7f"], ids=lambda c: f"U+{ord(c):04X}"
+)
+def test_name_check_refuses_what_the_slow_rule_refuses(char):
+    name = "a" + char + "b"
+    valid = name.split() == [name] and name.isprintable() and "#" not in name
+    for names in ([name], ["x", name], [name, "y"]):
+        if valid:
+            reprank.graphs._check_names(names)
+        else:
+            with pytest.raises(ValueError, match=f"^invalid node name {re.escape(repr(name))}$"):
+                reprank.graphs._check_names(names)
+
+
+@pytest.mark.parametrize(
+    "names, bad",
+    [([""], ""), (["a", "", "b"], ""), (["a", 1], 1), ([None], None), (["a b", "c"], "a b")],
+)
+def test_name_check_names_the_first_bad_name(names, bad):
+    with pytest.raises(ValueError, match=f"^invalid node name {re.escape(repr(bad))}$"):
+        reprank.graphs._check_names(names)
 
 
 def test_graph_is_immutable_and_hashable():
@@ -345,17 +379,31 @@ def test_parse_basic_positive():
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_parse_checks_each_edge_once(monkeypatch, mode):
-    text = random_graph(random.Random(3), 12, 0.3, mode).serialize()
+    # Fault-free text passes each rule as one test over all its lines, so the
+    # per-edge check runs only in the walk that names a fault, and there at
+    # most once for each edge line up to the faulty one.
+    g = random_graph(random.Random(3), 12, 0.3, mode)
     checked: list[tuple] = []
     real = reprank.graphs._check_edge
 
     def counting(edge, mode, seen):
         checked.append(edge)
-        real(edge, mode, seen)
+        return real(edge, mode, seen)
 
     monkeypatch.setattr(reprank.graphs, "_check_edge", counting)
-    g = parse_graph(text)
-    assert len(checked) == len(set(checked)) == len(g.edges) > 0
+    parsed = parse_graph(g.serialize())
+    assert checked == []
+    for slot in ReputationGraph.__slots__:
+        assert getattr(parsed, slot) == getattr(g, slot), slot
+
+    lines = g.serialize().splitlines()
+    edge_lines = [i for i, line in enumerate(lines) if len(line.split()) == 3]
+    k = edge_lines[len(edge_lines) // 2]
+    src, sign, _ = lines[k].split()
+    lines[k] = f"{src} {sign} {src}"
+    with pytest.raises(ParseError, match=f"^line {k + 1}: self-loop on '{src}'$"):
+        parse_graph("\n".join(lines))
+    assert 0 < len(checked) == len(set(checked)) <= edge_lines.index(k) + 1
 
 
 @PROPERTY_SETTINGS

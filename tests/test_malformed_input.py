@@ -9,8 +9,10 @@ print nothing on stdout and raise nothing.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reprank import ParseError, parse_graph, parse_ranking
+from reprank import Feedback, Mode, ParseError, ReputationGraph, parse_graph, parse_ranking
 from reprank.cli import main
 
 NOT_LINE_ENDS = {
@@ -136,3 +138,53 @@ def test_cli_rejects_malformed_ranking(_, text, message, line_no, tmp_path, caps
         _assert_rejected(
             ["check", str(graph), str(ranking), "--format", fmt], message, line_no, capsys
         )
+
+
+# Lines that can follow a header: valid edges, node lines, comments and blank
+# lines, plus one line of each fault. Over the small name pool, edges repeat
+# (a duplicate) and use each sign (one the header's mode may forbid).
+BODY_LINES = st.one_of(
+    st.builds("{} {} {}".format, st.sampled_from("ab"), st.sampled_from("+-"), st.just("c")),
+    st.sampled_from(["node a", "node d", "node node", "# a comment", "c + a # why", "", "  "]),
+    st.sampled_from(
+        ["a * b", "a + b c", "a b", "node a\x00", "a\x00 + b", "b - b", "a + b", "a - b"]
+    ),
+)
+HEADERS = st.sampled_from(["mode positive", "mode negative", "mode combined", "mode neutral"])
+
+
+def _constructed(lines: list[str]) -> ReputationGraph | None:
+    """The constructor's graph for fault-free lines, read without the parser;
+    None when the lines declare no node."""
+    records = [tokens for line in lines if (tokens := line.split("#", 1)[0].split())]
+    head, body = records[0], records[1:]
+    nodes = {tokens[-1] for tokens in body} | {tokens[0] for tokens in body if len(tokens) == 3}
+    edges = [(src, dst, Feedback(sign)) for src, sign, dst in (t for t in body if len(t) == 3)]
+    return ReputationGraph(nodes, edges, Mode(head[1])) if nodes else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(HEADERS, st.lists(BODY_LINES, min_size=1, max_size=8))
+def test_the_first_fault_wins(header, body):
+    lines = [header, *body]
+    first = None
+    for end in range(1, len(lines) + 1):
+        try:
+            parse_graph("\n".join(lines[:end]))
+        except ParseError as exc:
+            if exc.line_no is not None:
+                first = exc
+                break
+    if first is not None:
+        with pytest.raises(ParseError) as info:
+            parse_graph("\n".join(lines))
+        assert (str(info.value), info.value.line_no) == (str(first), first.line_no)
+        return
+    expected = _constructed(lines)
+    try:
+        parsed = parse_graph("\n".join(lines))
+    except ParseError as exc:
+        assert expected is None and str(exc) == "graph has no nodes" and exc.line_no is None
+        return
+    for slot in ReputationGraph.__slots__:
+        assert getattr(parsed, slot) == getattr(expected, slot), slot

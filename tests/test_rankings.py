@@ -79,6 +79,13 @@ FROM_LEVELS_ERRORS = [
         "a level must be a collection of names, not the string 'alice'",
     ),
     ("level not a collection", [1], "a level must be a collection of names, not 1"),
+    # Tuples and lists skip the per-level check only when every level is one.
+    (
+        "tuple level, then string level",
+        [("a",), "bc"],
+        "a level must be a collection of names, not the string 'bc'",
+    ),
+    ("list level, then int level", [["a"], 1], "a level must be a collection of names, not 1"),
     ("levels not a collection", None, "levels must be a collection of levels, not None"),
 ]
 
@@ -91,6 +98,20 @@ def test_from_levels_error_table(_, levels, message):
         Ranking.from_levels(levels)
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [
+        [("b", "a"), ["c"], {"d"}, (n for n in ["e", "f"])],
+        (("b", "a"), ("c",), ("d",), ("e", "f")),
+        [["b", "a"], ["c"], ["d"], ["e", "f"]],
+    ],
+    ids=["tuple, list, set and generator", "tuple of tuples", "lists"],
+)
+def test_from_levels_takes_any_mix_of_collections(levels):
+    as_lists = [["b", "a"], ["c"], ["d"], ["e", "f"]]
+    assert Ranking.from_levels(levels) == Ranking.from_levels(as_lists)
 
 
 @st.composite
