@@ -1,7 +1,7 @@
 """Command-line interface: rank, check, certify, complement.
 
 Exit codes: 0 on success / all axioms pass / SAT; 1 on a failed axiom or
-UNSAT; 2 on usage or input errors; 141 when stdout is closed early.
+UNSAT; 2 on usage, input or output errors; 141 when stdout is closed early.
 """
 
 from __future__ import annotations
@@ -128,88 +128,68 @@ def _trace_json(trace: RefinementTrace) -> dict[str, object]:
     }
 
 
-def _trace_text(trace: RefinementTrace) -> list[str]:
-    # Trace lines are '#' comments so the output still parses as a ranking.
-    lines = ["# initial"]
-    lines += [f"#   {row}" for row in trace.initial.serialize().splitlines()]
-    for step in trace.steps:
-        moved = ",".join(step.moved)
-        left = ",".join(step.left_behind)
-        lines.append(
-            f"# iteration {step.index}: chose {step.chosen} (witness "
-            f"{step.witness}); moved {step.direction}: {moved}; left behind: {left}"
-        )
-        lines += [f"#   {row}" for row in step.ranking.serialize().splitlines()]
-    return lines
+def _trace_text(trace: RefinementTrace) -> str:
+    # '#' comment lines, so the output still parses as a ranking; one replace per snapshot.
+    heads = ["initial"] + [
+        f"iteration {s.index}: chose {s.chosen} (witness {s.witness}); moved "
+        f"{s.direction}: {','.join(s.moved)}; left behind: {','.join(s.left_behind)}"
+        for s in trace.steps
+    ]
+    out: list[str] = []
+    for head, ranking in zip(heads, [trace.initial, *(s.ranking for s in trace.steps)]):
+        rows = ranking.serialize()  # its last row's newline is left alone
+        out += f"# {head}\n#   ", rows.replace("\n", "\n#   ", len(ranking.nodes) - 1)
+    return "".join(out)
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
-    graph = parse_graph(_read_text(args.graph))
+def cmd_rank(args: argparse.Namespace, graph: ReputationGraph) -> tuple[int, object]:
     ranking, trace = rank_graph(graph)
-    if args.format == "json":
-        payload: dict[str, object] = {"mode": graph.mode.value, "ranking": ranking}
-        if args.trace:
-            payload["trace"] = _trace_json(trace)
-        print(_render(payload))
-    else:
-        if args.trace:
-            print("\n".join(_trace_text(trace)))
-        print(ranking.serialize(), end="")
-    return 0
+    if args.format == "text":
+        return 0, (_trace_text(trace) if args.trace else "") + ranking.serialize()
+    payload: dict[str, object] = {"mode": graph.mode.value, "ranking": ranking}
+    if args.trace:
+        payload["trace"] = _trace_json(trace)
+    return 0, payload
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    if args.graph == "-" and args.ranking == "-":
-        raise InputError("at most one of GRAPH and RANKING may be '-' (stdin)")
-    graph = parse_graph(_read_text(args.graph))
+def cmd_check(args: argparse.Namespace, graph: ReputationGraph) -> tuple[int, object]:
     ranking = parse_ranking(_read_text(args.ranking))
     axioms = _select_axioms(graph, args.axioms)
     reports = [check(graph, ranking, axiom) for axiom in axioms]
-    all_passed = all(report.passed for report in reports)
-    if args.format == "json":
-        payload = {
-            "reports": [_report_json(r) for r in reports],
-            "all_passed": all_passed,
-        }
-        print(_render(payload))
-    else:
-        for report in reports:
-            print(report.render_text())
-    return 0 if all_passed else 1
+    code = 0 if all(report.passed for report in reports) else 1
+    if args.format == "text":
+        return code, "".join(f"{report.render_text()}\n" for report in reports)
+    return code, {
+        "reports": [_report_json(r) for r in reports],
+        "all_passed": code == 0,
+    }
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
-    graph = parse_graph(_read_text(args.graph))
+def cmd_certify(args: argparse.Namespace, graph: ReputationGraph) -> tuple[int, object]:
     axioms = _select_axioms(graph, args.axioms)
     certificate = certify(graph, axioms, cap=args.cap)
-    if args.format == "json":
-        payload = {
-            "status": certificate.status.value,
-            "examined": certificate.examined,
-            "witness": certificate.witness,
-        }
-        print(_render(payload))
-    else:
-        print(certificate.render_text())
-    return 0 if certificate.status is CertificateStatus.SAT else 1
+    code = 0 if certificate.status is CertificateStatus.SAT else 1
+    if args.format == "text":
+        return code, certificate.render_text() + "\n"
+    return code, {
+        "status": certificate.status.value,
+        "examined": certificate.examined,
+        "witness": certificate.witness,
+    }
 
 
-def cmd_complement(args: argparse.Namespace) -> int:
-    graph = parse_graph(_read_text(args.graph))
+def cmd_complement(args: argparse.Namespace, graph: ReputationGraph) -> tuple[int, object]:
     comp = graph.complement()
-    if args.format == "json":
-        payload = {
-            "mode": comp.mode.value,
-            "nodes": list(comp.nodes),
-            "edges": [
-                {"source": src, "sign": kind.value, "target": dst}
-                for src, dst, kind in sorted(comp.edges, key=_edge_order)
-            ],
-        }
-        print(_render(payload))
-    else:
-        print(comp.serialize(), end="")
-    return 0
+    if args.format == "text":
+        return 0, comp.serialize()
+    return 0, {
+        "mode": comp.mode.value,
+        "nodes": list(comp.nodes),
+        "edges": [
+            {"source": src, "sign": kind.value, "target": dst}
+            for src, dst, kind in sorted(comp.edges, key=_edge_order)
+        ],
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,16 +248,27 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:
-        code = args.handler(args)
-        sys.stdout.flush()
+        if args.graph == "-" and getattr(args, "ranking", None) == "-":
+            raise InputError("at most one of GRAPH and RANKING may be '-' (stdin)")
+        # A handler returns its exit code and the JSON payload or the finished text.
+        code, result = args.handler(args, parse_graph(_read_text(args.graph)))
+        if sys.stdout is None:  # the process was started with stdout closed
+            raise InputError("cannot write <stdout>: stdout is closed")
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader closed stdout (`| head`): point it at devnull so the final
-        # flush at exit stays silent, and exit as a SIGPIPE death would.
+    try:
+        # A closed pipe cuts the text short silently; print's own "\n" write then fails.
+        print(_render(result) if args.format == "json" else result[:-1])
+        sys.stdout.flush()
+    except (OSError, ValueError) as exc:  # ValueError: an encoding without a name's characters
+        # Point stdout at devnull so the final flush at exit stays silent. A
+        # reader that closed it (`| head`) gets the exit of a SIGPIPE death.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        print(f"error: cannot write <stdout>: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import importlib.metadata
 import io
 import json
@@ -154,6 +155,13 @@ def test_closed_stdin_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cannot read <stdin>: stdin is closed\n"
+
+
+def test_closed_stdout_exits_2(write_file, monkeypatch, capsys):
+    graph = write_file("g", POS_PATH)
+    monkeypatch.setattr("sys.stdout", None)  # what Python sets when fd 1 is closed
+    assert main(["rank", graph]) == 2
+    assert capsys.readouterr().err == "error: cannot write <stdout>: stdout is closed\n"
 
 
 @settings(max_examples=200, deadline=None)
@@ -622,12 +630,18 @@ def test_console_script_target_runs_like_its_wrapper(write_file):
     assert done.stdout == "a 3\nb 2\nc 1\n"
 
 
-def test_closed_stdout_exits_141_without_traceback(write_file, capsys):
+@pytest.mark.parametrize(
+    "command, n, first",
+    [(["rank", "--trace", "--format", "json"], 60, b"{"), (["complement"], 300, b"m")],
+    ids=["rank-trace-json", "complement-text"],
+)
+def test_closed_stdout_exits_141_without_traceback(write_file, capsys, command, n, first):
     # `reprank rank G --trace --format json | head -c1`: the reader goes away
     # while the CLI is still writing. It must exit as a SIGPIPE death would
-    # (128 + 13), not 1, which means a failed check, and print no traceback.
-    g = random_graph(random.Random("closed-pipe"), 60, 4 / 59, Mode.POSITIVE_ONLY)
-    argv = ["rank", write_file("g", g.serialize()), "--trace", "--format", "json"]
+    # (128 + 13), not 1, which means a failed check, or 0, which hides the cut,
+    # and print no traceback. The text case is one write that the pipe cuts short.
+    g = random_graph(random.Random("closed-pipe"), n, 4 / (n - 1), Mode.POSITIVE_ONLY)
+    argv = [command[0], write_file("g", g.serialize()), *command[1:]]
     assert main(argv) == 0
     assert len(capsys.readouterr().out) > 2 * 65536  # well past a pipe's buffer
     proc = subprocess.Popen(
@@ -637,7 +651,7 @@ def test_closed_stdout_exits_141_without_traceback(write_file, capsys):
         bufsize=0,
         env=_package_env(),
     )
-    assert proc.stdout.read(1) == b"{"
+    assert proc.stdout.read(1) == first
     proc.stdout.close()
     stderr = proc.stderr.read()
     proc.stderr.close()
@@ -663,6 +677,42 @@ def test_short_output_to_a_closed_pipe_exits_141(write_file):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_unwritable_stdout_exits_2_with_one_error_line(write_file):
+    # Every write to /dev/full fails with ENOSPC: one error line, no traceback,
+    # and not exit 1, which means a failed check.
+    argv = ["rank", write_file("g", POS_PATH), "--format", "json"]
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "reprank.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            timeout=60,
+            env=_package_env(),
+        )
+    reason = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    assert done.stderr.decode() == f"error: cannot write <stdout>: {reason}\n"
+    assert done.returncode == 2
+
+
+def test_stdout_that_cannot_encode_a_name_exits_2(write_file):
+    # A stdout whose encoding lacks a node name's characters is unwritable too.
+    env = _package_env()
+    env["PYTHONIOENCODING"] = "ascii"
+    graph = write_file("g", "mode positive\n\u00e9 + b\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "reprank.cli", "rank", graph],
+        capture_output=True,
+        timeout=60,
+        env=env,
+    )
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.decode() == (
+        "error: cannot write <stdout>: 'ascii' codec can't encode character '\\xe9' "
+        "in position 4: ordinal not in range(128)\n"
+    )
 
 
 # ---------------------------------------------------------------------------
