@@ -5,6 +5,8 @@ engines, check rankings against transitivity/monotonicity axioms, and
 certify axiom satisfiability exhaustively on small graphs.
 """
 
+from types import ModuleType as _ModuleType
+
 from .axioms import (
     AXIOMS_BY_MODE,
     Axiom,
@@ -54,42 +56,9 @@ from .rankings import (
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AXIOMS_BY_MODE",
-    "Axiom",
-    "AxiomReport",
-    "Certificate",
-    "CertificateStatus",
-    "DEFAULT_ENUMERATION_CAP",
-    "EnumerationCapError",
-    "Feedback",
-    "InputError",
-    "Mode",
-    "ModeError",
-    "NodeSetMismatchError",
-    "ParseError",
-    "Ranking",
-    "RefinementTrace",
-    "ReputationGraph",
-    "TraceStep",
-    "UnknownNodeError",
-    "Witness",
-    "at_least_as_strong",
-    "certify",
-    "certify_vwm_strongly_connected",
-    "check",
-    "check_all",
-    "count_satisfying",
-    "enumerate_preorders",
-    "equally_strong",
-    "more_important",
-    "normalize",
-    "pair_violates",
-    "parse_graph",
-    "parse_ranking",
-    "rank_combined",
-    "rank_graph",
-    "rank_negative",
-    "rank_positive",
-    "socially_stronger",
-]
+# Every public name bound above, submodules aside; tests/test_package.py pins them.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

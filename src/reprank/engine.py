@@ -64,12 +64,15 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     lex-smallest eligible agent at its lex-smallest dominated levelmate.
     Nodes are indices in name order, so one walk over them finds both.
 
-    A split keeps all other ranks in order, so a comparison can change only
-    if the backers it reads have ranks in both new levels. A cached result
-    is dropped exactly then: one end is backed from the smaller side and the
-    two ends together are backed from the larger. An agent the walk found
-    ineligible stays idle, and is skipped, until its level splits or a
-    cached result on it is dropped: only those can change its verdict.
+    Splitting a level into U above L keeps each sorted profile's block of it
+    in place, so a cover can break but never appear: a cached False between
+    differing profiles is final. A True for (u, v) breaks only if u's
+    supporters meet L and v's meet U, or v's accusers meet L and u's meet U;
+    a False between equal profiles changes only if one end is backed from U
+    and the other from L. Both make the two agents fragile partners, and a
+    split tests the partners of the smaller side's dependents that are still
+    levelmates. An agent the walk found ineligible stays idle, and is skipped,
+    until its level splits or a cached result on it is dropped.
     """
     names = graph.nodes
     n = len(names)
@@ -80,7 +83,9 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     size_good, size_bad = [len(g) for g in good], [len(b) for b in bad]
     name_levels = list(initial.levels)  # the same levels as below, by name
     levels = [[graph._index[v] for v in level] for level in name_levels]
+    level_of = {v: level for level in levels for v in level}
     known: dict[int, bool] = {}  # u * n + v -> u dominates v under current
+    fragile: list[set[int]] = [set() for _ in names]  # cached pairs a split may change
     idle = bytearray(n)
     current = initial
 
@@ -108,14 +113,19 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
         result = known.get(key)
         if result is None:
             result = known[key] = stronger(u, v)
+            if v not in fragile[u] and (result or same(u, v)):
+                fragile[u].add(v)
+                fragile[v].add(u)
         return result
 
+    def across(a: frozenset[str], b: frozenset[str]) -> bool:
+        return not (a.isdisjoint(low) or b.isdisjoint(up))  # a meets L and b meets U
+
     def split_at() -> tuple[int, int] | None:
-        ranks = current._ranks
         for vi in range(n):
             if idle[vi]:
                 continue
-            level = levels[ranks[names[vi]] - 1]
+            level = level_of[vi]
             witness = next((vj for vj in level if vj != vi and beats(vi, vj)), None)
             if witness is not None and not any(
                 beats(vs, vi) for vs in level if vs != vi
@@ -137,18 +147,27 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
         levels[k : k + 1] = split
         name_levels[k : k + 1] = [tuple(names[v] for v in level) for level in split]
         current = Ranking.from_levels(name_levels)
-        for v in tied:
-            idle[v] = 0
-        smaller, larger = sorted((moved, left_behind), key=len)
-        larger_names = {names[v] for v in larger}
-        touched = {d for s in smaller for d in graph._dependents[s]}
-        for d in touched:
-            both = not backed_by[d].isdisjoint(larger_names)
-            for x in levels[current._ranks[names[d]] - 1]:
-                if both or not backed_by[x].isdisjoint(larger_names):
-                    dropped = known.pop(d * n + x, None), known.pop(x * n + d, None)
-                    if dropped != (None, None):
-                        idle[d] = idle[x] = 0
+        for level in split:
+            for v in level:
+                level_of[v] = level
+                idle[v] = 0
+        up, low = set(name_levels[k]), set(name_levels[k + 1])
+        smaller = min(moved, left_behind, key=len)
+        for d in {d for s in smaller for d in graph._dependents[s]}:
+            for x in [x for x in fragile[d] if level_of[x] is level_of[d]]:
+                if keys := [key for key in (d * n + x, x * n + d) if known.get(key)]:
+                    u, v = divmod(keys[0], n)  # the True one: it breaks with a cover
+                    if not (across(good[u], good[v]) or across(bad[v], bad[u])):
+                        continue
+                elif across(backed_by[d], backed_by[x]) or across(backed_by[x], backed_by[d]):
+                    keys = [d * n + x, x * n + d]  # equal profiles may part
+                else:
+                    continue
+                fragile[d].discard(x)
+                fragile[x].discard(d)
+                idle[d] = idle[x] = 0
+                for key in keys:
+                    known.pop(key, None)
         steps.append(
             TraceStep(
                 index=len(steps) + 1,

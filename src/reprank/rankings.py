@@ -7,6 +7,7 @@ node set are enumerated as ordered set partitions.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from collections.abc import Iterable, Iterator, Mapping
@@ -181,30 +182,41 @@ def parse_ranking(text: str) -> Ranking:
     Blank lines and ``#`` comments are ignored; each node may appear once
     and the ranks must be dense positive integers.
     """
+    records = _records(text)
+    names, digits = [t[0] for _, t in records], "".join(t[-1] for _, t in records)
     ranks: dict[str, int] = {}
-    try:
-        for line_no, tokens in _records(text):
-            if len(tokens) != 2:
-                raise ValueError("expected 'NAME RANK'")
-            name, rank_text = tokens
-            _check_names([name])
-            if name in ranks:
-                raise ValueError(f"node {name!r} ranked twice")
-            # int() would also accept signs, underscores and non-ASCII digits.
-            if not (rank_text.isascii() and rank_text.isdigit()):
-                raise ValueError(f"rank {rank_text!r} must be written with ASCII digits 0-9")
-            try:
-                rank = int(rank_text)
-            except ValueError:  # longer than the interpreter's integer-string limit
-                message = f"rank of {name!r} is too long ({len(rank_text)} digits)"
-                raise ValueError(message) from None
-            if rank < 1:
-                raise ValueError(f"rank must be positive, got {rank}")
-            ranks[name] = rank
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no) from None
-    if not ranks:
-        raise ParseError("ranking text contains no entries")
+    # Fault-free text passes each rule as one test over all its lines (tokens hold no
+    # whitespace or '#'); text with a fault is walked line by line to name its first.
+    if {len(tokens) for _, tokens in records} == {2} and len({*names}) == len(names) and (
+        " ".join(names).isprintable() and digits.isascii() and digits.isdigit()
+    ):
+        with contextlib.suppress(ValueError):  # a rank too long for int(): the walk names it
+            ranks = dict(zip(names, map(int, (tokens[1] for _, tokens in records))))
+    if not ranks or 0 in ranks.values():
+        ranks = {}
+        try:
+            for line_no, tokens in records:
+                if len(tokens) != 2:
+                    raise ValueError("expected 'NAME RANK'")
+                name, rank_text = tokens
+                _check_names([name])
+                if name in ranks:
+                    raise ValueError(f"node {name!r} ranked twice")
+                # int() would also accept signs, underscores and non-ASCII digits.
+                if not (rank_text.isascii() and rank_text.isdigit()):
+                    raise ValueError(f"rank {rank_text!r} must be written with ASCII digits 0-9")
+                try:
+                    rank = int(rank_text)
+                except ValueError:  # longer than the interpreter's integer-string limit
+                    message = f"rank of {name!r} is too long ({len(rank_text)} digits)"
+                    raise ValueError(message) from None
+                if rank < 1:
+                    raise ValueError(f"rank must be positive, got {rank}")
+                ranks[name] = rank
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
+        if not ranks:
+            raise ParseError("ranking text contains no entries")
     try:
         _check_dense(ranks)  # the loop above checked every name and rank
     except ValueError as exc:

@@ -25,6 +25,7 @@ from reprank import (
     ModeError,
     Ranking,
     check,
+    normalize,
     rank_combined,
     rank_graph,
     rank_negative,
@@ -263,18 +264,21 @@ def test_combined_engine_moves_equal_profiles_among_unequal_sizes():
 @pytest.mark.parametrize(
     "mode, calls",
     [
-        (Mode.POSITIVE_ONLY, {"more_important": 661}),
-        (Mode.NEGATIVE_ONLY, {"more_important": 463}),
-        (Mode.COMBINED, {"socially_stronger": 1554, "equally_strong": 1359}),
+        (Mode.POSITIVE_ONLY, {"more_important": 400}),
+        (Mode.NEGATIVE_ONLY, {"more_important": 341}),
+        (Mode.COMBINED, {"socially_stronger": 602, "equally_strong": 551}),
     ],
     ids=lambda value: getattr(value, "value", None) or "-".join(map(str, value.values())),
 )
 def test_engine_compares_only_what_a_split_changed(monkeypatch, mode, calls):
-    # A comparison is redone only when a split may have changed it, and an
-    # agent found ineligible is walked again only when its verdict may have
-    # changed; a coarser cache or a full rescan makes more calls. A pair whose
-    # side sizes rule it out makes none (the combined row's equally_strong
-    # count includes the calls socially_stronger makes itself).
+    # A split can break a cover but never make one, so a comparison is redone
+    # only when a cached True can lose a cover (one end's backers meet the
+    # lower new level where the other's meet the upper) or a cached False
+    # between equal profiles can see them part (one end backed from each new
+    # level); an agent found ineligible is walked again only when its verdict
+    # may have changed. Dropping more, or rescanning, makes more calls. A pair
+    # whose side sizes rule it out makes none (the combined row's
+    # equally_strong count includes the calls socially_stronger makes itself).
     g = random_graph(random.Random(f"engine-calls-{mode.value}"), 60, 4 / 59, mode)
     made = dict.fromkeys(calls, 0)
     for name in calls:
@@ -323,3 +327,63 @@ def test_size_excluded_pairs_never_reach_dominance(monkeypatch, n):
     rank_graph(graph)
     assert all(seen.values()), "both relations are called"
     assert not any(seen["socially_stronger"]) and not any(seen["equally_strong"])
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_a_split_breaks_covers_but_never_makes_one(mode):
+    # The premise of the engine's drop rule. Splitting a level into U above L
+    # keeps each sorted profile's block of that level at the same positions,
+    # so a cover can break but never appear; a comparison that turns False
+    # broke a cover across U and L, and one that turns True compared equal
+    # profiles whose agents are backed one from U and the other from L.
+    rng = random.Random(f"split-premise-{mode.value}")
+    seen = {"True to False": 0, "False to True": 0}
+    for _ in range(80):
+        n = rng.randint(3, 12)
+        graph = random_graph(rng, n, rng.choice((0.2, 0.35, 0.5)), mode)
+        before = normalize({v: rng.randint(1, max(2, n // 3)) for v in graph.nodes})
+        splittable = [list(level) for level in before.levels if len(level) > 1]
+        if not splittable:
+            continue
+        level = rng.choice(splittable)
+        rng.shuffle(level)
+        cut = rng.randint(1, len(level) - 1)
+        up, low = set(level[:cut]), set(level[cut:])
+        k = before.rank_of(level[0]) - 1
+        after = Ranking.from_levels(
+            [*before.levels[:k], sorted(up), sorted(low), *before.levels[k + 1 :]]
+        )
+        if mode is Mode.COMBINED:
+            sides = {
+                v: (graph.support_set(v, POS), graph.support_set(v, NEG)) for v in graph.nodes
+            }
+
+            def stronger(r, u, v):
+                return reprank.dominance.socially_stronger(r, graph, u, v)
+        else:
+            sides = {v: (graph.support_set(v), frozenset()) for v in graph.nodes}
+
+            def stronger(r, u, v):
+                return reprank.dominance.more_important(r, sides[u][0], sides[v][0])
+
+        def across(a, b):  # a meets L and b meets U
+            return bool(a & low) and bool(b & up)
+
+        for u in graph.nodes:
+            for v in graph.nodes:
+                (good_u, bad_u), (good_v, bad_v) = sides[u], sides[v]
+                for a, b in ((good_u, good_v), (bad_u, bad_v)):
+                    if not reprank.dominance.at_least_as_strong(before, a, b):
+                        assert not reprank.dominance.at_least_as_strong(after, a, b)
+                was, now = stronger(before, u, v), stronger(after, u, v)
+                if was and not now:
+                    seen["True to False"] += 1
+                    assert across(good_u, good_v) or across(bad_v, bad_u)
+                elif now and not was:
+                    seen["False to True"] += 1
+                    assert reprank.dominance.equally_strong(before, good_u, good_v)
+                    assert reprank.dominance.equally_strong(before, bad_u, bad_v)
+                    assert across(good_u | bad_u, good_v | bad_v) or across(
+                        good_v | bad_v, good_u | bad_u
+                    )
+    assert all(seen.values()), seen

@@ -1,5 +1,5 @@
-"""The runtime package imports nothing outside the standard library, and no
-name that it never uses."""
+"""The runtime package imports nothing outside the standard library and no
+name that it never uses, and it exports exactly its pinned public names."""
 
 from __future__ import annotations
 
@@ -56,3 +56,21 @@ def test_imports_only_names_it_uses(path):
     # __init__.py imports to re-export, so its names are read by the package's users.
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == [], f"{path.name} imports names it never uses"
+
+
+PUBLIC_API = [
+    "AXIOMS_BY_MODE", "Axiom", "AxiomReport", "Certificate", "CertificateStatus",
+    "DEFAULT_ENUMERATION_CAP", "EnumerationCapError", "Feedback", "InputError", "Mode",
+    "ModeError", "NodeSetMismatchError", "ParseError", "Ranking", "RefinementTrace",
+    "ReputationGraph", "TraceStep", "UnknownNodeError", "Witness", "at_least_as_strong",
+    "certify", "certify_vwm_strongly_connected", "check", "check_all", "count_satisfying",
+    "enumerate_preorders", "equally_strong", "more_important", "normalize",
+    "pair_violates", "parse_graph", "parse_ranking", "rank_combined", "rank_graph",
+    "rank_negative", "rank_positive", "socially_stronger",
+]
+
+
+def test_public_api_is_pinned():
+    # __all__ is derived from the package's public globals, so an export that
+    # vanishes, or a submodule or helper that leaks in, shows here.
+    assert reprank.__all__ == PUBLIC_API

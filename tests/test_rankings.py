@@ -368,6 +368,53 @@ def test_parse_ranking_accepts_leading_zeros():
     assert parse_ranking("a 01\nb 002\n") == Ranking({"a": 1, "b": 2})
 
 
+# Ranking lines over a small name pool, so names repeat, with comments and
+# blank lines, and faults: each fault line with the message it gets when its
+# name is not already ranked (None: the token count or the name is the fault).
+GOOD_LINES = [f"{name} {rank}" for name in "abc" for rank in ("1", "2", "3", "01")]
+FAULT_LINES = {
+    "a": (None, "expected 'NAME RANK'"),
+    "a 1 2": (None, "expected 'NAME RANK'"),
+    "a\x00 1": (None, "invalid node name 'a\\x00'"),
+    "b 0": ("b", "rank must be positive, got 0"),
+    "b +1": ("b", "rank '+1' must be written with ASCII digits 0-9"),
+    "c \u0661": ("c", "rank '\u0661' must be written with ASCII digits 0-9"),
+}
+RANKING_LINES = st.sampled_from(
+    [*GOOD_LINES, "# a comment", "", "  ", "c 2 # why", *FAULT_LINES]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RANKING_LINES, max_size=8))
+def test_parse_ranking_names_the_first_fault(lines):
+    # Fault-free text passes each rule as one test over all its lines, and text
+    # with a fault is walked to name it: the first faulty line, by line number,
+    # with a repeated name reported before the line's own rank fault.
+    ranks, fault = {}, None
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.split("#")[0].split()
+        name, message = FAULT_LINES.get(line, (tokens[0] if tokens else None, None))
+        if name in ranks:
+            fault = f"line {line_no}: node {name!r} ranked twice"
+            break
+        if message is not None:
+            fault = f"line {line_no}: {message}"
+            break
+        if tokens:
+            ranks[name] = int(tokens[1])
+    if fault is None and not ranks:
+        fault = "ranking text contains no entries"
+    elif fault is None and set(ranks.values()) != set(range(1, len(set(ranks.values())) + 1)):
+        fault = "ranks must be dense: exactly the values 1..k"
+    if fault is None:
+        assert parse_ranking("\n".join(lines)).as_dict() == ranks
+    else:
+        with pytest.raises(ParseError) as info:
+            parse_ranking("\n".join(lines))
+        assert str(info.value) == fault
+
+
 def test_serialize_is_lexicographic():
     r = Ranking({"b": 1, "a": 2, "c": 1})
     assert r.serialize() == "a 2\nb 1\nc 1\n"
