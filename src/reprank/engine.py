@@ -71,8 +71,12 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     a False between equal profiles changes only if one end is backed from U
     and the other from L. Both make the two agents fragile partners, and a
     split tests the partners of the smaller side's dependents that are still
-    levelmates. An agent the walk found ineligible stays idle, and is skipped,
-    until its level splits or a cached result on it is dropped.
+    levelmates. An agent the walk finds ineligible stays idle, and is skipped,
+    until a cached result on it is dropped or a split moves its blocker away.
+    It is ineligible because it beats no levelmate, or because a levelmate,
+    its blocker, beats it. Levels only shrink, and a dropped result wakes both
+    its agents, so beating no levelmate survives every split, and a blocker
+    still beats the agent while the two stay levelmates.
     """
     names = graph.nodes
     n = len(names)
@@ -87,6 +91,7 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     known: dict[int, bool] = {}  # u * n + v -> u dominates v under current
     fragile: list[set[int]] = [set() for _ in names]  # cached pairs a split may change
     idle = bytearray(n)
+    blocker = list(range(n))  # why an idle agent is ineligible: a levelmate beating it, or itself
     current = initial
 
     if graph.mode is Mode.COMBINED:
@@ -127,10 +132,12 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
                 continue
             level = level_of[vi]
             witness = next((vj for vj in level if vj != vi and beats(vi, vj)), None)
-            if witness is not None and not any(
-                beats(vs, vi) for vs in level if vs != vi
-            ):
+            if witness is None:
+                blocker[vi] = vi  # no witness: its own level never holds one again
+            elif (b := next((vs for vs in level if vs != vi and beats(vs, vi)), None)) is None:
                 return vi, witness
+            else:
+                blocker[vi] = b
             idle[vi] = 1
         return None
 
@@ -150,6 +157,8 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
         for level in split:
             for v in level:
                 level_of[v] = level
+        for v in tied:
+            if level_of[blocker[v]] is not level_of[v]:
                 idle[v] = 0
         up, low = set(name_levels[k]), set(name_levels[k + 1])
         smaller = min(moved, left_behind, key=len)

@@ -30,10 +30,6 @@ class Mode(enum.Enum):
     COMBINED = "combined"
     __hash__ = object.__hash__  # as on Feedback
 
-    @property
-    def allowed_kinds(self) -> frozenset[Feedback]:
-        return _KINDS_BY_MODE[self]
-
 
 _KINDS_BY_MODE = {
     Mode.POSITIVE_ONLY: frozenset({Feedback.POSITIVE}),

@@ -251,10 +251,10 @@ def test_support_set_never_contains_self(g):
             assert isinstance(support, frozenset)
             assert support == backers
             assert node not in support
-            if kind not in g.mode.allowed_kinds:
+            if kind not in reprank.graphs._KINDS_BY_MODE[g.mode]:
                 assert support == frozenset()
         if g.mode is not Mode.COMBINED:
-            (only,) = g.mode.allowed_kinds
+            (only,) = reprank.graphs._KINDS_BY_MODE[g.mode]
             assert g.support_set(node) == g.support_set(node, only)
         # Two sides on every mode, the graph's own polarity first.
         sides = (Feedback.NEGATIVE, Feedback.POSITIVE)
@@ -502,7 +502,7 @@ def test_serialize_round_trip(g):
 def named_graphs(draw):
     mode = draw(st.sampled_from(list(Mode)))
     names = draw(st.lists(node_names, min_size=1, max_size=5, unique=True))
-    kinds = sorted(mode.allowed_kinds, key=lambda k: k.value)
+    kinds = sorted(reprank.graphs._KINDS_BY_MODE[mode], key=lambda k: k.value)
     edges = draw(
         st.lists(
             st.tuples(
