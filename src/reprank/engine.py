@@ -71,12 +71,12 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     a False between equal profiles changes only if one end is backed from U
     and the other from L. Both make the two agents fragile partners, and a
     split tests the partners of the smaller side's dependents that are still
-    levelmates. An agent the walk finds ineligible stays idle, and is skipped,
-    until a cached result on it is dropped or a split moves its blocker away.
-    It is ineligible because it beats no levelmate, or because a levelmate,
-    its blocker, beats it. Levels only shrink, and a dropped result wakes both
-    its agents, so beating no levelmate survives every split, and a blocker
-    still beats the agent while the two stay levelmates.
+    levelmates. An agent the walk finds ineligible records its blocker, and is
+    skipped as idle until a cached result on it is dropped or a split moves its
+    blocker away: itself if it beats no levelmate, else a levelmate that beats
+    it. An awake agent has no blocker. Levels only shrink, and a dropped result
+    wakes both its agents, so beating no levelmate survives every split, and a
+    blocker still beats the agent while the two stay levelmates.
     """
     names = graph.nodes
     n = len(names)
@@ -90,8 +90,7 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
     level_of = {v: level for level in levels for v in level}
     known: dict[int, bool] = {}  # u * n + v -> u dominates v under current
     fragile: list[set[int]] = [set() for _ in names]  # cached pairs a split may change
-    idle = bytearray(n)
-    blocker = list(range(n))  # why an idle agent is ineligible: a levelmate beating it, or itself
+    blocker: list[int | None] = [None] * n  # why an idle agent is ineligible; None if awake
     current = initial
 
     if graph.mode is Mode.COMBINED:
@@ -128,7 +127,7 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
 
     def split_at() -> tuple[int, int] | None:
         for vi in range(n):
-            if idle[vi]:
+            if blocker[vi] is not None:
                 continue
             level = level_of[vi]
             witness = next((vj for vj in level if vj != vi and beats(vi, vj)), None)
@@ -138,7 +137,6 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
                 return vi, witness
             else:
                 blocker[vi] = b
-            idle[vi] = 1
         return None
 
     steps: list[TraceStep] = []
@@ -147,19 +145,18 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
             raise RuntimeError("refinement exceeded the |V| - 1 iteration bound")
         chosen, witness = found
         k = current._ranks[names[chosen]] - 1
-        tied = levels[k]
+        tied = level_of[chosen]
         moved = [v for v in tied if v == chosen or same(chosen, v)]
         left_behind = [v for v in tied if v not in moved]
         split = [moved, left_behind] if direction == "above" else [left_behind, moved]
-        levels[k : k + 1] = split
         name_levels[k : k + 1] = [tuple(names[v] for v in level) for level in split]
         current = Ranking.from_levels(name_levels)
         for level in split:
             for v in level:
                 level_of[v] = level
         for v in tied:
-            if level_of[blocker[v]] is not level_of[v]:
-                idle[v] = 0
+            if level_of.get(blocker[v]) is not level_of[v]:  # awake, or its blocker moved away
+                blocker[v] = None
         up, low = set(name_levels[k]), set(name_levels[k + 1])
         smaller = min(moved, left_behind, key=len)
         for d in {d for s in smaller for d in graph._dependents[s]}:
@@ -174,7 +171,7 @@ def _refine(graph: ReputationGraph) -> tuple[Ranking, RefinementTrace]:
                     continue
                 fragile[d].discard(x)
                 fragile[x].discard(d)
-                idle[d] = idle[x] = 0
+                blocker[d] = blocker[x] = None
                 for key in keys:
                     known.pop(key, None)
         steps.append(

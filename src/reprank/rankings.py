@@ -7,7 +7,6 @@ node set are enumerated as ordered set partitions.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 from collections.abc import Iterable, Iterator, Mapping
@@ -18,9 +17,13 @@ from .graphs import _check_names, _collection, _records
 DEFAULT_ENUMERATION_CAP = 8
 
 
-def _mapping(ranks: Mapping[str, int]) -> Mapping[str, int]:
+def _checked_mapping(ranks: Mapping[str, int]) -> Mapping[str, int]:
+    """``ranks``, refused unless it maps at least one name and every name is valid."""
     if not isinstance(ranks, Mapping):
         raise ValueError(f"ranks must be a mapping of names to ranks, not {ranks!r}")
+    if not ranks:
+        raise ValueError("a ranking needs at least one node")
+    _check_names(list(ranks))
     return ranks
 
 
@@ -41,10 +44,7 @@ class Ranking:
     __slots__ = ("_ranks",)
 
     def __init__(self, ranks: Mapping[str, int]):
-        if not _mapping(ranks):
-            raise ValueError("a ranking needs at least one node")
-        _check_names(list(ranks))
-        for node, rank in ranks.items():
+        for node, rank in _checked_mapping(ranks).items():
             if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
                 raise ValueError(f"rank of {node!r} must be a positive integer")
         _check_dense(ranks)
@@ -126,9 +126,12 @@ class Ranking:
 
 def normalize(raw: Mapping[str, int]) -> Ranking:
     """Compress arbitrary integer scores onto dense ranks, order preserved."""
-    distinct = sorted(set(_mapping(raw).values()))
+    for node, score in _checked_mapping(raw).items():
+        if not isinstance(score, int) or isinstance(score, bool):
+            raise ValueError(f"score of {node!r} must be an integer")
+    distinct = sorted(set(raw.values()))
     dense = {score: position for position, score in enumerate(distinct, start=1)}
-    return Ranking({node: dense[score] for node, score in raw.items()})
+    return object.__new__(Ranking)._fill({node: dense[score] for node, score in raw.items()})
 
 
 def enumerate_preorders(
@@ -147,6 +150,8 @@ def enumerate_preorders(
     ordered = tuple(sorted(set(nodes)))
     if not ordered:
         raise ValueError("cannot enumerate preorders over an empty node set")
+    if len(ordered) < len(nodes):
+        raise ValueError("duplicate node names")
     if len(ordered) > cap:
         raise EnumerationCapError(
             f"{len(ordered)} nodes exceeds the enumeration cap of {cap}"
@@ -182,41 +187,30 @@ def parse_ranking(text: str) -> Ranking:
     Blank lines and ``#`` comments are ignored; each node may appear once
     and the ranks must be dense positive integers.
     """
-    records = _records(text)
-    names, digits = [t[0] for _, t in records], "".join(t[-1] for _, t in records)
     ranks: dict[str, int] = {}
-    # Fault-free text passes each rule as one test over all its lines (tokens hold no
-    # whitespace or '#'); text with a fault is walked line by line to name its first.
-    if {len(tokens) for _, tokens in records} == {2} and len({*names}) == len(names) and (
-        " ".join(names).isprintable() and digits.isascii() and digits.isdigit()
-    ):
-        with contextlib.suppress(ValueError):  # a rank too long for int(): the walk names it
-            ranks = dict(zip(names, map(int, (tokens[1] for _, tokens in records))))
-    if not ranks or 0 in ranks.values():
-        ranks = {}
-        try:
-            for line_no, tokens in records:
-                if len(tokens) != 2:
-                    raise ValueError("expected 'NAME RANK'")
-                name, rank_text = tokens
-                _check_names([name])
-                if name in ranks:
-                    raise ValueError(f"node {name!r} ranked twice")
-                # int() would also accept signs, underscores and non-ASCII digits.
-                if not (rank_text.isascii() and rank_text.isdigit()):
-                    raise ValueError(f"rank {rank_text!r} must be written with ASCII digits 0-9")
-                try:
-                    rank = int(rank_text)
-                except ValueError:  # longer than the interpreter's integer-string limit
-                    message = f"rank of {name!r} is too long ({len(rank_text)} digits)"
-                    raise ValueError(message) from None
-                if rank < 1:
-                    raise ValueError(f"rank must be positive, got {rank}")
-                ranks[name] = rank
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no) from None
-        if not ranks:
-            raise ParseError("ranking text contains no entries")
+    try:
+        for line_no, tokens in _records(text):
+            if len(tokens) != 2:
+                raise ValueError("expected 'NAME RANK'")
+            name, rank_text = tokens
+            _check_names([name])
+            if name in ranks:
+                raise ValueError(f"node {name!r} ranked twice")
+            # int() would also accept signs, underscores and non-ASCII digits.
+            if not (rank_text.isascii() and rank_text.isdigit()):
+                raise ValueError(f"rank {rank_text!r} must be written with ASCII digits 0-9")
+            try:
+                rank = int(rank_text)
+            except ValueError:  # longer than the interpreter's integer-string limit
+                message = f"rank of {name!r} is too long ({len(rank_text)} digits)"
+                raise ValueError(message) from None
+            if rank < 1:
+                raise ValueError(f"rank must be positive, got {rank}")
+            ranks[name] = rank
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no) from None
+    if not ranks:
+        raise ParseError("ranking text contains no entries")
     try:
         _check_dense(ranks)  # the loop above checked every name and rank
     except ValueError as exc:

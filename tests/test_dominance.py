@@ -168,6 +168,28 @@ def test_more_important_transitive_exhaustively():
                 assert more_important(r, x, z)
 
 
+def test_socially_stronger_is_a_strict_partial_order():
+    # The engine's walk finds an eligible agent whenever any levelmate beats
+    # another only if, under a fixed ranking, the relation has no cycle.
+    rng = random.Random(20120102)
+    chains = 0
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(3, 7), 0.4, Mode.COMBINED)
+        r = _random_ranking(rng, g.nodes)
+        beats = {
+            (u, v): socially_stronger(r, g, u, v) for u in g.nodes for v in g.nodes
+        }
+        for u in g.nodes:
+            assert not beats[u, u]
+        for u, v in itertools.permutations(g.nodes, 2):
+            assert not (beats[u, v] and beats[v, u])
+        for u, v, w in itertools.permutations(g.nodes, 3):
+            if beats[u, v] and beats[v, w]:
+                assert beats[u, w]
+                chains += 1
+    assert chains > 0  # transitivity was tested, not only vacuously true
+
+
 @PROPERTY_SETTINGS
 @given(ranking_and_two_groups())
 def test_equally_strong_is_equivalence(case):

@@ -182,6 +182,43 @@ def test_normalize_accepts_negative_scores():
     assert normalize({"a": -5, "b": 0}) == Ranking({"a": 1, "b": 2})
 
 
+@pytest.mark.parametrize(
+    "raw, node",
+    [
+        ({"a": None}, "a"),
+        ({"a": "x", "b": 1}, "a"),
+        ({"a": 1, "b": 2.0}, "b"),
+        ({"a": 1, "b": 2.5}, "b"),
+        ({"a": 1, "b": True}, "b"),
+        ({"a": False}, "a"),
+        ({"a": 1, "b": [1]}, "b"),
+    ],
+)
+def test_normalize_refuses_a_score_that_is_not_an_integer(raw, node):
+    # "Integer scores": a bool or a float is not one, and nothing is sorted first.
+    with pytest.raises(ValueError) as info:
+        normalize(raw)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"score of {node!r} must be an integer"
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({}, "a ranking needs at least one node"),
+        ({"a b": None}, "invalid node name 'a b'"),
+        ({1: "x"}, "invalid node name 1"),
+        ({"a": "x", "b#": 1}, "invalid node name 'b#'"),
+    ],
+)
+def test_normalize_checks_the_names_before_the_scores(raw, message):
+    # Ranking's rule order: the shape, then the names, then the values.
+    with pytest.raises(ValueError) as info:
+        normalize(raw)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 @PROPERTY_SETTINGS
 @given(rankings())
 def test_normalize_is_idempotent(r):
@@ -274,6 +311,17 @@ def test_enumeration_refuses_a_cap_below_one_before_any_other_check(cap):
 def test_enumeration_rejects_empty_node_set():
     with pytest.raises(ValueError):
         next(enumerate_preorders([]))
+
+
+@pytest.mark.parametrize("nodes", [["a", "a"], ["b", "a", "b"], ("c", "a", "b", "a")])
+def test_enumeration_refuses_duplicate_names(nodes):
+    # As the graph constructor and from_levels do, rather than dropping them;
+    # duplicates are named before the cap is compared.
+    for cap in (8, 2):
+        with pytest.raises(ValueError) as info:
+            next(enumerate_preorders(nodes, cap=cap))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "duplicate node names"
 
 
 def test_enumeration_partitions_by_first_block():
