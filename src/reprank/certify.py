@@ -47,9 +47,10 @@ def certify(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Certificate:
     """First satisfying preorder, confirmed by ``check``, or UNSAT after all of them."""
-    axioms = tuple(axioms)
-    satisfies, examined = _leaf(_instance(graph, ReputationGraph), axioms), 0
-    for examined, ranking in enumerate(enumerate_preorders(graph.nodes, cap=cap), start=1):
+    preorders = enumerate_preorders(_instance(graph, ReputationGraph).nodes, cap=cap)
+    axioms, examined = tuple(axioms), 0
+    satisfies = _leaf(graph, axioms)  # after the cap is checked: it builds O(n^2) pairs
+    for examined, ranking in enumerate(preorders, start=1):
         if satisfies(ranking):
             if not all(check(graph, ranking, axiom).passed for axiom in axioms):
                 raise RuntimeError("the leaf check accepted a ranking that check rejects")
@@ -63,8 +64,8 @@ def count_satisfying(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> int:
     """How many total preorders satisfy the whole axiom set."""
-    satisfies = _leaf(_instance(graph, ReputationGraph), axioms)
-    return sum(map(satisfies, enumerate_preorders(graph.nodes, cap=cap)))
+    preorders = enumerate_preorders(_instance(graph, ReputationGraph).nodes, cap=cap)
+    return sum(map(_leaf(graph, axioms), preorders))
 
 
 def certify_vwm_strongly_connected(

@@ -31,13 +31,12 @@ def _read_text(path: str) -> str:
     except OSError as exc:
         raise InputError(f"cannot read {name}: {exc}") from exc
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")  # line ends are left to the parsers' _lines
     except UnicodeDecodeError as exc:
         # The bad byte opens the line after the last break of the valid prefix.
         line_no = len(_lines(data[: exc.start].decode("utf-8")))
         bad = f"byte 0x{data[exc.start]:02x}"
         raise InputError(f"cannot read {name}: line {line_no}: {bad} is not UTF-8") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")  # newlines as text mode reads them
 
 
 def _select_axioms(graph: ReputationGraph, raw: str | None) -> tuple[Axiom, ...]:
@@ -136,7 +135,7 @@ def _trace_text(trace: RefinementTrace) -> str:
         for s in trace.steps
     ]
     out: list[str] = []
-    for head, ranking in zip(heads, [trace.initial, *(s.ranking for s in trace.steps)]):
+    for head, ranking in zip(heads, trace.rankings()):
         rows = ranking.serialize()  # its last row's newline is left alone
         out += f"# {head}\n#   ", rows.replace("\n", "\n#   ", len(ranking.nodes) - 1)
     return "".join(out)

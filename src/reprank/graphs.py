@@ -82,7 +82,7 @@ def _check_edge(edge: Edge, mode: Mode, seen: set[Edge]) -> Edge:
     _check_names([src, dst])
     if src == dst:
         raise ValueError(f"self-loop on {src!r}")
-    try:  # the property would add a Python call per edge
+    try:
         allowed = kind in _KINDS_BY_MODE[mode]
     except TypeError:  # unhashable, so not a Feedback
         allowed = False
@@ -220,19 +220,15 @@ class ReputationGraph:
 
     def is_strongly_connected(self) -> bool:
         """True iff a directed path joins every ordered node pair (kinds ignored)."""
-        backward: list[list[int]] = [[] for _ in self.nodes]
-        for src, targets in enumerate(self._dependents):
-            for dst in targets:
-                backward[dst].append(src)
-        n = len(self.nodes)
+        n, index = len(self.nodes), self._index
+        backward = [[index[u] for side in self._backers for u in side[i]] for i in range(n)]
         return len(_reachable(self._dependents, 0)) == n == len(_reachable(backward, 0))
 
     def serialize(self) -> str:
         """Edge-list text; nodes and edges written in lexicographic order."""
         lines = [f"mode {self.mode.value}"]
-        covered = {n for src, dst, _ in self.edges for n in (src, dst)}
-        for node in self.nodes:
-            if node not in covered:
+        for i, node in enumerate(self.nodes):
+            if not (self._dependents[i] or any(side[i] for side in self._backers)):
                 lines.append(f"node {node}")
         for src, dst, kind in sorted(self.edges, key=_edge_order):
             lines.append(f"{src} {kind.value} {dst}")

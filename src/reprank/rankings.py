@@ -141,7 +141,7 @@ def enumerate_preorders(
 
     Rankings come out as ordered set partitions built block-by-block in
     lexicographic node order, so the stream is deterministic. A cap that is not
-    a positive integer, more nodes than ``cap`` and invalid names are refused first.
+    a positive integer, more nodes than ``cap`` and invalid names are refused at the call.
     """
     if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
         raise ValueError(f"cap must be a positive integer, got {cap!r}")
@@ -156,6 +156,10 @@ def enumerate_preorders(
         raise EnumerationCapError(
             f"{len(ordered)} nodes exceeds the enumeration cap of {cap}"
         )
+    return _preorders(ordered)
+
+
+def _preorders(ordered: tuple[str, ...]) -> Iterator[Ranking]:
     @functools.cache
     def splits(rest: tuple[str, ...], depth: int) -> list[tuple[dict[str, int], tuple[str, ...]]]:
         """Each first block of ``rest`` in (size, lex) order, as its ranks at

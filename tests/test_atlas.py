@@ -1,14 +1,16 @@
-"""The n = 3 axiom atlas: every labelled 3-node graph of each mode.
+"""The axiom atlas: every labelled 3-node graph of each mode, and the
+4-node single-polarity graphs through their isomorphism classes.
 
 For each graph the exhaustive certifier decides whether some ranking satisfies
 the mode's pair of axioms, and the engine's output is checked against the
 same pair and against the mode's transitivity axiom. The counts tie the
 engine, the checker and the certifier's leaf to one another: an edit to any
-of them that changes a verdict on a 3-node graph changes a count here.
+of them that changes a verdict on a 3- or 4-node graph changes a count here.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 
@@ -86,3 +88,105 @@ def test_engine_output_passes_transitivity_on_every_three_node_graph():
             assert check(graph, ranking, axiom).passed, graph.serialize()
             total += 1
     assert total == 4224
+
+
+# ---------------------------------------------------------------------------
+# n = 4 over isomorphism classes: one representative per class, each count
+# weighted by the class's size, so 218 graphs stand for all 4,096.
+
+
+@functools.cache
+def isomorphism_classes(n: int) -> dict[int, int]:
+    """Class size by least edge mask, over the labelled n-node digraphs (OEIS A000273).
+
+    Bit k of a mask is the k-th ordered pair of distinct nodes; a class is named
+    by the least mask any of the n! relabellings gives its members.
+    """
+    pairs = list(itertools.permutations(range(n), 2))
+    size = 1 << len(pairs)
+    least = list(range(size))
+    for perm in itertools.permutations(range(n)):
+        image = [1 << pairs.index((perm[u], perm[v])) for u, v in pairs]
+        relabelled = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask  # the mask's image is its lowest edge's and the rest's
+            relabelled[mask] = relabelled[mask ^ low] | image[low.bit_length() - 1]
+            least[mask] = min(least[mask], relabelled[mask])
+    return collections.Counter(least)
+
+
+@functools.cache
+def ranked_classes(mode: Mode, n: int) -> list:
+    """(representative, the engine's ranking, class size) for every class."""
+    names = "abcd"[:n]
+    pairs = [(names[u], names[v]) for u, v in itertools.permutations(range(n), 2)]
+    build = positive_graph if mode is Mode.POSITIVE_ONLY else negative_graph
+    ranked = []
+    for mask, weight in sorted(isomorphism_classes(n).items()):
+        graph = build([pair for k, pair in enumerate(pairs) if mask >> k & 1], names)
+        ranked.append((graph, rank_graph(graph)[0], weight))
+    return ranked
+
+
+ATLAS_ROWS = {  # row: (mode, axioms, strongly connected graphs only)
+    "positive T,M": (Mode.POSITIVE_ONLY, (Axiom.T, Axiom.M), False),
+    "positive T,VWM": (Mode.POSITIVE_ONLY, (Axiom.T, Axiom.VWM), False),
+    "strongly connected T,VWM": (Mode.POSITIVE_ONLY, (Axiom.T, Axiom.VWM), True),
+    "negative BT,BM": (Mode.NEGATIVE_ONLY, (Axiom.BT, Axiom.BM), False),
+}
+
+# Per row at n = 4: classes, graphs, UNSAT graphs, the fewest edges of an UNSAT
+# graph, and the graphs where some ranking satisfies the pair but the engine's fails it.
+ATLAS_4 = {
+    "positive T,M": (218, 4096, 1554, 3, 72),
+    "positive T,VWM": (218, 4096, 1058, 3, 216),
+    "strongly connected T,VWM": (83, 1606, 410, 5, 144),
+    "negative BT,BM": (218, 4096, 24, 5, 432),
+}
+
+
+def tally_classes(n: int, mode: Mode, axioms: tuple, connected: bool) -> tuple:
+    """One ``ATLAS_4`` row at n nodes, every graph count weighted by its class's size."""
+    classes = graphs = unsat = missed = 0
+    unsat_edges = []
+    for graph, ranking, weight in ranked_classes(mode, n):
+        if connected and not graph.is_strongly_connected():
+            continue
+        classes, graphs = classes + 1, graphs + weight
+        engine_passes = all(check(graph, ranking, axiom).passed for axiom in axioms)
+        if certify(graph, axioms).status is CertificateStatus.UNSAT:
+            assert not engine_passes, graph.serialize()
+            unsat += weight
+            unsat_edges.append(len(graph.edges))
+        else:
+            missed += weight * (not engine_passes)
+    return classes, graphs, unsat, min(unsat_edges, default=None), missed
+
+
+@pytest.mark.parametrize("n, classes", [(3, 16), (4, 218)])
+def test_isomorphism_classes_cover_every_labelled_graph_once(n, classes):
+    assert len(isomorphism_classes(n)) == classes
+    assert sum(isomorphism_classes(n).values()) == 2 ** (n * (n - 1))
+
+
+def test_class_counts_at_three_nodes_equal_the_labelled_ones():
+    # The weighting recovers the labelled tables that the tests above pin.
+    for row, (mode, axioms, connected) in ATLAS_ROWS.items():
+        ranked = ranked_graphs(mode)
+        if connected:
+            ranked = [(g, r) for g, r in ranked if g.is_strongly_connected()]
+        unsat_edges, missed = tally(ranked, axioms)
+        _, graphs, unsat, fewest, missed_weighted = tally_classes(3, mode, axioms, connected)
+        assert (graphs, unsat, missed_weighted) == (len(ranked), len(unsat_edges), missed), row
+        assert fewest == min(unsat_edges, default=None), row
+
+
+def test_atlas_counts_over_four_node_classes():
+    rows = {row: tally_classes(4, *ATLAS_ROWS[row]) for row in ATLAS_ROWS}
+    assert rows == ATLAS_4
+
+
+def test_engine_output_passes_transitivity_on_every_four_node_class():
+    for mode in (Mode.POSITIVE_ONLY, Mode.NEGATIVE_ONLY):
+        for graph, ranking, _ in ranked_classes(mode, 4):
+            assert check(graph, ranking, TRANSITIVITY[mode]).passed, graph.serialize()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -125,6 +126,34 @@ def test_cap_below_one_is_refused(cap):
             run(one, [Axiom.T], cap=cap)
         assert type(info.value) is ValueError
         assert str(info.value) == message
+
+
+def test_a_graph_over_the_cap_is_refused_before_the_leaf_is_built(monkeypatch):
+    # The leaf lists O(n^2) pairs per axiom; building it for a graph the cap refuses
+    # would cost quadratic time and memory before the refusal.
+    def leaf(*args):
+        pytest.fail("the leaf was built for a graph over the cap")
+
+    # The package's certify() shadows the module of that name.
+    monkeypatch.setattr(importlib.import_module("reprank.certify"), "_leaf", leaf)
+    nine = positive_graph([], extra_nodes=[f"n{i}" for i in range(9)])
+    for run in (certify, count_satisfying):
+        with pytest.raises(EnumerationCapError, match="9 nodes exceeds the enumeration cap of 8"):
+            run(nine, [Axiom.T, Axiom.M])
+    cycle = positive_graph([(f"n{i}", f"n{(i + 1) % 9}") for i in range(9)])
+    with pytest.raises(EnumerationCapError):
+        certify_vwm_strongly_connected(cycle)
+
+
+def test_refusal_order_is_graph_type_then_cap_then_axioms():
+    nine = positive_graph([], extra_nodes=[f"n{i}" for i in range(9)])
+    for run in (certify, count_satisfying):
+        with pytest.raises(ValueError, match="expected a ReputationGraph"):
+            run("mode positive", [Axiom.BT], cap=0)
+        with pytest.raises(EnumerationCapError):
+            run(nine, [Axiom.BT])
+        with pytest.raises(ModeError, match="axiom BT does not apply"):
+            run(nine, [Axiom.BT], cap=9)
 
 
 def test_empty_axiom_set_is_sat_immediately(triangle_with_supporter):

@@ -23,6 +23,7 @@ import reprank
 from conftest import random_graph
 from reprank import AXIOMS_BY_MODE, Mode, Ranking, normalize, parse_graph, parse_ranking
 from reprank.cli import _ranking_template, _read_text, _render, main
+from reprank.graphs import _records
 
 POS_PATH = "mode positive\na + b\nb + c\n"
 NEG_PATH = "mode negative\na - b\nb - c\n"
@@ -167,15 +168,17 @@ def test_closed_stdout_exits_2(write_file, monkeypatch, capsys):
 @settings(max_examples=200, deadline=None)
 @given(st.text(st.sampled_from("a1 \r\n\u00e9\u2028\x0b#")))
 def test_file_text_is_read_as_text_mode_reads_it(text):
+    # The reader only decodes; the parsers' records (line numbers and tokens) of its
+    # text equal those of the text that text mode reads, newlines translated.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "file")
         path.write_bytes(text.encode("utf-8"))
-        from_file = _read_text(str(path))
-        assert from_file == path.read_text(encoding="utf-8")
+        expected = _records(path.read_text(encoding="utf-8"))
+        assert _records(_read_text(str(path))) == expected
     # stdin goes through the same decoding as a file
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("sys.stdin", _stdin(text.encode("utf-8")))
-        assert _read_text("-") == from_file
+        assert _records(_read_text("-")) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,15 @@ def test_enumeration_cap():
         next(enumerate_preorders(["a", "b", "c"], cap=2))
 
 
+def test_enumeration_refuses_at_the_call_before_any_next():
+    # A caller that builds something for the stream learns of the fault first.
+    with pytest.raises(EnumerationCapError):
+        enumerate_preorders([f"n{i}" for i in range(9)])
+    for nodes, cap in ((["a", "a"], 8), ([], 8), (["bad name"], 8), (["a"], 0)):
+        with pytest.raises(ValueError):
+            enumerate_preorders(nodes, cap=cap)
+
+
 @pytest.mark.parametrize("cap", [0, -5, "3", 2.5, True])
 def test_enumeration_refuses_a_cap_below_one_before_any_other_check(cap):
     # A cap that is not an int (a bool is not one) is refused as a cap below 1 is.
