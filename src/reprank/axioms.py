@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .dominance import Profile, _social
 from .errors import ModeError, NodeSetMismatchError
-from .graphs import Mode, ReputationGraph, _instance
+from .graphs import Mode, ReputationGraph, _collection, _instance
 from .rankings import Ranking
 
 
@@ -137,10 +137,10 @@ _CLAUSES: dict[Axiom, tuple[PairCheck, str]] = {
 
 
 def _applicable(mode: Mode, axioms: Iterable[Axiom]) -> tuple[Axiom, ...]:
-    """The requested axioms in the mode's fixed order. The first one given that is
-    not an Axiom is a ValueError; one that does not apply is a ModeError."""
+    """The requested axioms in the mode's fixed order. A non-collection, or the first
+    one given that is not an Axiom, is a ValueError; one that does not apply is a ModeError."""
     allowed = AXIOMS_BY_MODE[mode]
-    wanted = tuple(axioms)
+    wanted = _collection(axioms, "axioms must be a collection of Axiom members")
     for axiom in wanted:
         if axiom not in allowed:
             if not isinstance(axiom, Axiom):
@@ -230,8 +230,13 @@ def pair_violates(
     return reason if clause(*_snapshot(graph, rank_of, pair), 0, 1) else None
 
 
+_snapped: tuple = (None, None, None)  # (graph, ranking, _snapshot) of the last check
+
+
 def check(graph: ReputationGraph, ranking: Ranking, axiom: Axiom) -> AxiomReport:
-    """Evaluate one axiom over all ordered pairs of distinct nodes."""
+    """Evaluate one axiom over all ordered pairs of distinct nodes. The snapshot
+    is kept until a call with another graph or ranking, so each is sorted once."""
+    global _snapped
     _applicable(_instance(graph, ReputationGraph).mode, (axiom,))
     ranks = _instance(ranking, Ranking)._ranks  # read only: a Ranking never changes
     if ranks.keys() != graph._index.keys():
@@ -239,13 +244,14 @@ def check(graph: ReputationGraph, ranking: Ranking, axiom: Axiom) -> AxiomReport
         extra = sorted(ranks.keys() - graph._index.keys())
         fault = f"{missing[0]!r} is unranked" if missing else f"{extra[0]!r} is not in the graph"
         raise NodeSetMismatchError(f"ranking does not cover exactly the graph's nodes: {fault}")
-    nodes = graph.nodes
-    rank, p, q = _snapshot(graph, ranks.__getitem__)
+    if (snapped := _snapped)[0] is not graph or snapped[1] is not ranking:
+        snapped = _snapped = (graph, ranking, _snapshot(graph, ranks.__getitem__))
+    nodes, (rank, p, q) = graph.nodes, snapped[2]
     clause, reason = _CLAUSES[axiom]
     pairs = itertools.permutations(range(len(nodes)), 2)
-    if clause is _violates_t:  # skip the pairs whose sizes rule out a cover (_may_violate)
+    if clause is _violates_t:  # skip pairs already ordered or whose sizes rule out a cover
         g, b = ([len(s) for s in side] for side in graph._backers)
-        pairs = ((i, j) for i, j in pairs if g[i] >= g[j] and b[j] >= b[i])
+        pairs = ((i, j) for i, j in pairs if rank[i] >= rank[j] and g[i] >= g[j] and b[j] >= b[i])
     for i, j in pairs:
         if clause(rank, p, q, i, j):
             return AxiomReport(axiom, False, Witness(nodes[i], nodes[j], reason))

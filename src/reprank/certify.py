@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from .axioms import Axiom, _leaf, check
+from .axioms import Axiom, _applicable, _leaf, check
 from .errors import InputError, ModeError
 from .graphs import Mode, ReputationGraph, _instance
 from .rankings import DEFAULT_ENUMERATION_CAP, Ranking, enumerate_preorders
@@ -48,7 +48,7 @@ def certify(
 ) -> Certificate:
     """First satisfying preorder, confirmed by ``check``, or UNSAT after all of them."""
     preorders = enumerate_preorders(_instance(graph, ReputationGraph).nodes, cap=cap)
-    axioms, examined = tuple(axioms), 0
+    axioms, examined = _applicable(graph.mode, axioms), 0
     satisfies = _leaf(graph, axioms)  # after the cap is checked: it builds O(n^2) pairs
     for examined, ranking in enumerate(preorders, start=1):
         if satisfies(ranking):

@@ -9,7 +9,8 @@ Every relation is decided on sorted rank profiles (a group's member ranks as
 an ascending int tuple) by ``_covers`` and ``_social``. The public functions
 below, which the engines call, sort a frozenset's profile once per
 ``Ranking`` object and keep it until a call with another. The axiom checker
-sorts each node's profiles once per ``check`` call and calls the primitives.
+sorts each node's profiles once per graph and ranking, keeps them until a
+``check`` call with another, and calls the primitives.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ import re
 import pytest
 from hypothesis import given, settings
 
+import reference
+import reprank.axioms
 from conftest import (
     all_edge_subsets,
     combined_graph,
@@ -20,6 +22,7 @@ from conftest import (
 from reprank import (
     AXIOMS_BY_MODE,
     Axiom,
+    AxiomReport,
     Feedback,
     Mode,
     ModeError,
@@ -27,6 +30,7 @@ from reprank import (
     Ranking,
     ReputationGraph,
     UnknownNodeError,
+    Witness,
     certify,
     certify_vwm_strongly_connected,
     check,
@@ -41,6 +45,7 @@ from reprank import (
     rank_negative,
     rank_positive,
 )
+from test_differential import assert_checker_agrees, random_rankings
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -335,6 +340,74 @@ def test_node_set_mismatch():
         check(g, Ranking({"a": 1}), Axiom.T)
     with pytest.raises(NodeSetMismatchError):
         check(g, Ranking({"a": 1, "b": 2, "c": 3}), Axiom.T)
+
+
+def _reference_report(graph, ranking, axiom):
+    expected = reference.first_violation(graph, ranking, axiom.value)
+    return AxiomReport(axiom, expected is None, expected and Witness(*expected))
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_check_keeps_the_snapshot_of_one_graph_and_one_ranking(mode):
+    # check keeps the last graph's and ranking's snapshot. Two graphs on one node set,
+    # each one's engine output, and an equal copy of the first: each call below changes
+    # one argument. The first change of graph and the first change of ranking each
+    # change a report (`distinct`), so a snapshot kept for the wrong one is caught.
+    rng = random.Random(f"check-snapshot-{mode.value}")
+    g1, g2 = (random_graph(rng, 6, 0.4, mode) for _ in range(2))
+    r1, r2 = rank_graph(g1)[0], rank_graph(g2)[0]
+    r1_copy = Ranking(r1.as_dict())
+    calls = [(g1, r1), (g2, r1), (g2, r2), (g1, r2), (g1, r1_copy), (g2, r1_copy), (g2, r1)]
+    reports = []
+    for graph, ranking in calls:
+        reports.append(check_all(graph, ranking))
+        for axiom, report in zip(AXIOMS_BY_MODE[mode], reports[-1]):
+            assert report == _reference_report(graph, ranking, axiom)
+            assert check(graph, ranking, axiom) == report
+        with pytest.raises(ModeError):  # the arguments are checked on every call
+            check(graph, ranking, Axiom.VWM if mode is Mode.NEGATIVE_ONLY else Axiom.BT)
+    distinct = [before != after for before, after in zip(reports, reports[1:])]
+    assert distinct[:2] == [True, True]  # a new graph, then a new ranking
+
+
+def test_check_all_takes_one_snapshot_per_ranking(monkeypatch):
+    snapshots = []
+    taken = reprank.axioms._snapshot
+    monkeypatch.setattr(reprank.axioms, "_snapshot", lambda *a: snapshots.append(a) or taken(*a))
+    g = positive_graph([("a", "b"), ("b", "c")])
+    ranking = Ranking({"c": 1, "b": 2, "a": 3})
+    check_all(g, ranking)
+    check_all(g, ranking)
+    assert len(snapshots) == 1
+    check_all(g, Ranking(ranking.as_dict()))
+    assert len(snapshots) == 2
+
+
+# The benchmark's sizes: positive and negative graphs of 30 to 90 nodes, combined
+# ones of 24 to 40, with an average in-degree of 4 per polarity.
+WORKLOAD_SIZES = {
+    Mode.POSITIVE_ONLY: (30, 44, 58, 72, 90),
+    Mode.NEGATIVE_ONLY: (30, 44, 58, 72, 90),
+    Mode.COMBINED: (24, 28, 32, 36, 40),
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_checker_matches_reference_at_workload_sizes(mode):
+    # The T-type scan skips the pairs the ranking already orders. The engine's output
+    # passes the T-type axiom, so its scan runs to the end; its earlier trace
+    # rankings, its levels reversed and random rankings fail at pairs throughout.
+    rng = random.Random(f"checker-workload-{mode.value}")
+    verdicts = set()
+    for n in WORKLOAD_SIZES[mode]:
+        graph = random_graph(rng, n, 4 / n, mode)
+        final, trace = rank_graph(graph)
+        assert check(graph, final, AXIOMS_BY_MODE[mode][0]).passed
+        reversed_levels = Ranking.from_levels(final.levels[::-1])
+        for ranking in (*trace.rankings(), reversed_levels, *random_rankings(graph, rng, 3)):
+            assert_checker_agrees(graph, ranking, pairs=False)
+            verdicts.update((report.axiom, report.passed) for report in check_all(graph, ranking))
+    assert verdicts == {(axiom, passed) for axiom in AXIOMS_BY_MODE[mode] for passed in (True, False)}
 
 
 def test_report_rendering():

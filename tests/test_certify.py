@@ -156,6 +156,22 @@ def test_refusal_order_is_graph_type_then_cap_then_axioms():
             run(nine, [Axiom.BT], cap=9)
 
 
+@pytest.mark.parametrize("axioms", [None, 5, "T"], ids=repr)
+def test_axioms_that_are_not_a_collection_are_a_value_error(axioms):
+    one = positive_graph([], extra_nodes=["a"])
+    nine = positive_graph([], extra_nodes=[f"n{i}" for i in range(9)])
+    what = "the string 'T'" if axioms == "T" else repr(axioms)
+    for run in (certify, count_satisfying):
+        with pytest.raises(ValueError) as info:
+            run(one, axioms)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"axioms must be a collection of Axiom members, not {what}"
+        with pytest.raises(ValueError, match="expected a ReputationGraph"):  # refusal order kept
+            run("mode positive", axioms, cap=0)
+        with pytest.raises(EnumerationCapError):
+            run(nine, axioms)
+
+
 def test_empty_axiom_set_is_sat_immediately(triangle_with_supporter):
     cert = certify(triangle_with_supporter, set())
     assert cert.status is SAT
