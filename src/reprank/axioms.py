@@ -149,15 +149,16 @@ def _applicable(mode: Mode, axioms: Iterable[Axiom]) -> tuple[Axiom, ...]:
     return tuple(a for a in allowed if a in wanted)
 
 
-class _LazyProfiles(dict):
-    """One side's sorted rank profiles by node name, each sorted on first read."""
+class _Profiles:
+    """One side's rank profiles by node name, sorted on every read under ``rank``."""
 
-    def __init__(self, side: Mapping[str, frozenset[str]], rank: Callable[[str], int]):
-        self.side, self.rank = side, rank
+    __slots__ = ("side", "rank")
 
-    def __missing__(self, v: str) -> Profile:
-        profile = self[v] = tuple(sorted(map(self.rank, self.side[v])))
-        return profile
+    def __init__(self, side: Mapping[str, frozenset[str]]):
+        self.side = side
+
+    def __getitem__(self, v: str) -> Profile:
+        return tuple(sorted(map(self.rank, self.side[v])))
 
 
 def _may_violate(axiom: Axiom, good: Backers, bad: Backers, i: int, j: int) -> bool:
@@ -173,10 +174,10 @@ def _may_violate(axiom: Axiom, good: Backers, bad: Backers, i: int, j: int) -> b
 
 def _leaf(graph: ReputationGraph, axioms: Iterable[Axiom]) -> Callable[[Ranking], bool]:
     """The certifier's test of a ranking of the graph's nodes against every
-    requested axiom: profiles sorted on demand, no report. Pairs are read by
-    name, so the ranks serve as they are on all but a negative graph, and the
-    pair that rejected the last ranking is tested first: consecutive preorders
-    share long prefixes, so it is the likeliest to reject the next one too."""
+    requested axiom: one reader per side sorts profiles as read, and no report.
+    Pairs are read by name, so the ranks serve as they are on all but a negative
+    graph, and the pair that rejected the last ranking is tested first: consecutive
+    preorders share long prefixes, so it is the likeliest to reject the next one too."""
     nodes, (good, bad) = graph.nodes, graph._backers
     pairs = [
         (_CLAUSES[axiom][0], nodes[i], nodes[j])
@@ -184,15 +185,17 @@ def _leaf(graph: ReputationGraph, axioms: Iterable[Axiom]) -> Callable[[Ranking]
         for i, j in itertools.permutations(range(len(nodes)), 2)
         if _may_violate(axiom, good, bad, i, j)
     ]
-    negative = graph.mode is Mode.NEGATIVE_ONLY
-    unbacked = None if any(bad) else dict.fromkeys(nodes, ())  # cheaper than a lazy empty side
-    good, bad = dict(zip(nodes, good)), dict(zip(nodes, bad))
+    negative, backed = graph.mode is Mode.NEGATIVE_ONLY, any(bad)
+    p = _Profiles(dict(zip(nodes, good)))
+    # With no backer on the second side, one table of empty profiles beats a reader.
+    q = _Profiles(dict(zip(nodes, bad))) if backed else dict.fromkeys(nodes, ())
 
     def satisfies(ranking: Ranking) -> bool:
         ranks = ranking._ranks
         rank = {v: -r for v, r in ranks.items()} if negative else ranks
-        p = _LazyProfiles(good, ranks.__getitem__)
-        q = unbacked or _LazyProfiles(bad, ranks.__getitem__)
+        p.rank = ranks.__getitem__
+        if backed:
+            q.rank = p.rank
         for pair in pairs:
             clause, i, j = pair
             if clause(rank, p, q, i, j):

@@ -172,7 +172,7 @@ def _preorders(ordered: tuple[str, ...]) -> Iterator[Ranking]:
 
     # Depth first on a stack of (ranks placed so far, candidate splits), so each
     # preorder's ranks are its prefix's merged with its last block's.
-    stack = [({}, iter(splits(ordered, 1)))]
+    stack, fill = [({}, iter(splits(ordered, 1)))], Ranking._ranks.__set__
     while stack:
         placed, candidates = stack[-1]
         for block, rest in candidates:
@@ -180,7 +180,9 @@ def _preorders(ordered: tuple[str, ...]) -> Iterator[Ranking]:
             if rest:
                 stack.append((ranks, iter(splits(rest, len(stack) + 1))))
                 break
-            yield object.__new__(Ranking)._fill(ranks)
+            ranking = object.__new__(Ranking)
+            fill(ranking, ranks)  # the slot's setter, bound once: cheaper than _fill per preorder
+            yield ranking
         else:
             stack.pop()
 

@@ -1,5 +1,6 @@
-"""Slow engine checks: the combined engine against the reference on graphs of
-160 and 200 nodes, and pinned traces and comparison counts up to 1,000 nodes.
+"""Slow engine and certifier checks: the combined engine against the reference
+on graphs of 160 and 200 nodes, pinned traces and comparison counts up to
+1,000 nodes, and the certifier's counts at its default cap of 8 nodes.
 
 The reference takes about 15 s on the 200-node graph, so this file is not
 named ``test_*.py`` and the tier-1 suite does not collect it. Run it with
@@ -15,7 +16,15 @@ import pytest
 
 import reprank.dominance
 from conftest import random_graph
-from reprank import Mode, rank_graph
+from reprank import (
+    Axiom,
+    CertificateStatus,
+    Mode,
+    certify,
+    count_satisfying,
+    enumerate_preorders,
+    rank_graph,
+)
 from test_differential import assert_engine_agrees
 
 RELATIONS = ("socially_stronger", "more_important", "equally_strong")
@@ -77,3 +86,14 @@ def test_trace_and_call_counts_are_pinned_up_to_1000_nodes(monkeypatch, mode, n)
     digest, calls = PINS[mode, n]
     graph = random_graph(random.Random(n), n, 4 / n, mode)
     assert traced_calls(monkeypatch, graph) == (digest, dict(zip(RELATIONS, calls)))
+
+
+def test_certifier_is_pinned_at_the_default_cap():
+    # Tier-1 certifies up to 7 nodes; this is the largest graph the default cap
+    # admits, where every preorder of 8 nodes passes through the leaf.
+    graph = random_graph(random.Random(8), 8, 0.4, Mode.POSITIVE_ONLY)
+    axioms = (Axiom.T, Axiom.M)
+    assert count_satisfying(graph, axioms) == 6
+    certificate = certify(graph, axioms)
+    assert (certificate.status, certificate.examined) == (CertificateStatus.SAT, 359_958)
+    assert sum(1 for _ in enumerate_preorders(graph.nodes)) == 545_835

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -19,13 +20,16 @@ from conftest import (
 import reference
 import reprank.dominance
 from reference import is_refinement
+from test_atlas import ONE_SIGN, ranked_classes, ranked_graphs
 from reprank import (
     Axiom,
     Mode,
     ModeError,
     Ranking,
+    ReputationGraph,
     check,
     normalize,
+    parse_graph,
     rank_combined,
     rank_graph,
     rank_negative,
@@ -387,3 +391,53 @@ def test_a_split_breaks_covers_but_never_makes_one(mode):
                         good_v | bad_v, good_u | bad_u
                     )
     assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# Name dependence: each step splits at the lex-smallest eligible agent, so the
+# ranking can depend on the names. These pin where it does and where it does not.
+
+
+def renamed_back(graph, names) -> Ranking:
+    """Rank the graph with its nodes renamed to ``names``, read back in the old names."""
+    new = dict(zip(graph.nodes, names))
+    edges = [(new[u], new[v], kind) for u, v, kind in graph.edges]
+    ranks = rank_graph(ReputationGraph(names, edges, graph.mode))[0].as_dict()
+    return Ranking({old: ranks[new[old]] for old in graph.nodes})
+
+
+@pytest.mark.parametrize("mode", [Mode.POSITIVE_ONLY, Mode.NEGATIVE_ONLY], ids=lambda m: m.value)
+def test_single_polarity_rankings_do_not_depend_on_names_up_to_four_nodes(mode):
+    # One graph per isomorphism class stands for every labelled graph of its size.
+    for n in (2, 3, 4):
+        for graph, ranking, _ in ranked_classes(mode, n):
+            for names in itertools.permutations(graph.nodes):
+                assert renamed_back(graph, names) == ranking, (graph.serialize(), names)
+
+
+def test_36_one_sign_combined_graphs_on_three_nodes_depend_on_names():
+    changed = [
+        graph
+        for graph, ranking in ranked_graphs(ONE_SIGN)
+        if any(renamed_back(graph, p) != ranking for p in itertools.permutations(graph.nodes))
+    ]
+    assert len(ranked_graphs(ONE_SIGN)) == 729 and len(changed) == 36
+
+
+@pytest.mark.parametrize(
+    "text, ranked, names, read_back",
+    [
+        ("mode combined\na - b\na - c\nb + c\n", "a > c > b", "bca", "c > a > b"),
+        (
+            "mode positive\na + b\na + d\nb + a\nc + a\nc + e\nd + c\ne + d\n",
+            "a=d > b=c > e",
+            "acdbe",
+            "d > a > c > b > e",
+        ),
+    ],
+    ids=["combined, 3 nodes", "positive, 5 nodes"],
+)
+def test_renaming_changes_these_rankings(text, ranked, names, read_back):
+    graph = parse_graph(text)
+    assert repr(rank_graph(graph)[0]) == f"Ranking({ranked})"
+    assert repr(renamed_back(graph, tuple(names))) == f"Ranking({read_back})"
