@@ -99,9 +99,9 @@ def _violates_t(rank: Ranks, good: Side, bad: Side, i: Key, j: Key) -> bool:
 def _violates_m(rank: Ranks, good: Side, bad: Side, i: Key, j: Key) -> bool:
     return (
         rank[i] < rank[j]
-        and not _social(good[i], bad[i], good[j], bad[j])
-        and not _exists_strict_pair(good[i], good[j])
-        and not _exists_strict_pair(bad[j], bad[i])
+        and not _social(gi := good[i], bi := bad[i], gj := good[j], bj := bad[j])
+        and not _exists_strict_pair(gi, gj)
+        and not _exists_strict_pair(bj, bi)
     )
 
 

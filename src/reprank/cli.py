@@ -31,11 +31,11 @@ def _read_text(path: str) -> str:
     except OSError as exc:
         raise InputError(f"cannot read {name}: {exc}") from exc
     try:
-        return data.decode("utf-8")  # line ends are left to the parsers' _lines
+        return data.decode("utf-8-sig")  # one leading BOM dropped; line ends left to _lines
     except UnicodeDecodeError as exc:
-        # The bad byte opens the line after the last break of the valid prefix.
-        line_no = len(_lines(data[: exc.start].decode("utf-8")))
-        bad = f"byte 0x{data[exc.start]:02x}"
+        # The bad byte opens the line after the last break before it in exc.object (no BOM).
+        line_no = len(_lines(exc.object[: exc.start].decode("utf-8")))
+        bad = f"byte 0x{exc.object[exc.start]:02x}"
         raise InputError(f"cannot read {name}: line {line_no}: {bad} is not UTF-8") from None
 
 

@@ -177,9 +177,11 @@ def _preorders(ordered: tuple[str, ...]) -> Iterator[Ranking]:
         placed, candidates = stack[-1]
         for block, rest in candidates:
             ranks = placed | block
-            if rest:
+            if len(rest) > 1:
                 stack.append((ranks, iter(splits(rest, len(stack) + 1))))
                 break
+            if rest:  # one node left: its only preorder, one level lower, in this fresh dict
+                ranks[rest[0]] = len(stack) + 1
             ranking = object.__new__(Ranking)
             fill(ranking, ranks)  # the slot's setter, bound once: cheaper than _fill per preorder
             yield ranking

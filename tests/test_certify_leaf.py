@@ -10,6 +10,7 @@ must all be equal, and no preorder may violate a pair the leaf skips.
 
 from __future__ import annotations
 
+import collections
 import importlib
 import itertools
 import random
@@ -22,14 +23,16 @@ from reprank import (
     AXIOMS_BY_MODE,
     Axiom,
     CertificateStatus,
+    Feedback,
     Mode,
     Ranking,
+    ReputationGraph,
     certify,
     count_satisfying,
     enumerate_preorders,
     parse_graph,
 )
-from reprank.axioms import _leaf, _may_violate
+from reprank.axioms import _leaf, _may_violate, _Profiles, _violates_m
 
 certify_module = importlib.import_module("reprank.certify")  # the package shadows it
 
@@ -69,25 +72,60 @@ def test_the_graphs_cover_every_mode_and_size():
     assert len(GRAPHS) == 2 * (1 + 4 + 64) + (1 + 16) + 18
 
 
+def assert_certifier_matches_reference(graph, axiom_sets) -> set[CertificateStatus]:
+    """Status, witness, ``examined`` and the satisfying count of ``certify`` and
+    ``count_satisfying`` on each axiom set equal the reference's; returns the statuses."""
+    rankings = preorders(graph)
+    passes = {
+        axiom: [reference.first_violation(graph, r, axiom.value) is None for r in rankings]
+        for axiom in {a for axioms in axiom_sets for a in axioms}
+    }
+    statuses = set()
+    for axioms in axiom_sets:
+        satisfied = [all(passes[a][k] for a in axioms) for k in range(len(rankings))]
+        first = satisfied.index(True) if True in satisfied else None
+        cert = certify(graph, axioms)
+        context = (graph.serialize(), [a.value for a in axioms])
+        if first is None:
+            assert cert.status is CertificateStatus.UNSAT, context
+            assert (cert.witness, cert.examined) == (None, len(rankings)), context
+        else:
+            assert cert.status is CertificateStatus.SAT, context
+            assert (cert.witness, cert.examined) == (rankings[first], first + 1), context
+        assert count_satisfying(graph, axioms) == sum(satisfied), context
+        statuses.add(cert.status)
+    return statuses
+
+
 def test_certify_and_count_match_the_reference_certifier():
     for graph in GRAPHS:
-        rankings = preorders(graph)
-        passes = {
-            axiom: [reference.first_violation(graph, r, axiom.value) is None for r in rankings]
-            for axiom in AXIOMS_BY_MODE[graph.mode]
-        }
-        for axioms in axiom_subsets(graph.mode):
-            satisfied = [all(passes[a][k] for a in axioms) for k in range(len(rankings))]
-            first = satisfied.index(True) if True in satisfied else None
-            cert = certify(graph, axioms)
-            context = (graph.serialize(), [a.value for a in axioms])
-            if first is None:
-                assert cert.status is CertificateStatus.UNSAT, context
-                assert (cert.witness, cert.examined) == (None, len(rankings)), context
-            else:
-                assert cert.status is CertificateStatus.SAT, context
-                assert (cert.witness, cert.examined) == (rankings[first], first + 1), context
-            assert count_satisfying(graph, axioms) == sum(satisfied), context
+        assert_certifier_matches_reference(graph, list(axiom_subsets(graph.mode)))
+
+
+def workload_graph(rng: random.Random, n: int, mode: Mode, edges: int) -> ReputationGraph:
+    """Exactly ``edges`` distinct ordered pairs, drawn uniformly; on a combined
+    graph the first half of the draw is positive and the rest negative, as the
+    benchmark's ``certify`` workload draws its graphs."""
+    names = [f"v{i}" for i in range(n)]
+    pairs = rng.sample([(u, v) for u in names for v in names if u != v], edges)
+    positive = {Mode.POSITIVE_ONLY: edges, Mode.NEGATIVE_ONLY: 0, Mode.COMBINED: edges // 2}[mode]
+    signs = [Feedback.POSITIVE] * positive + [Feedback.NEGATIVE] * (edges - positive)
+    return ReputationGraph(names, [(u, v, sign) for (u, v), sign in zip(pairs, signs)], mode)
+
+
+def test_certifier_matches_reference_at_workload_sizes():
+    # The benchmark's certify graphs: n=5 with 8 edges under the mode's full axiom
+    # set, and n=6 positive with 12 edges under {T, M}. Both verdicts must occur.
+    rng = random.Random("certify-workload")
+    statuses = set()
+    for mode in Mode:
+        for _ in range(4):
+            graph = workload_graph(rng, 5, mode, 8)
+            statuses |= assert_certifier_matches_reference(graph, [AXIOMS_BY_MODE[mode]])
+    for _ in range(2):
+        graph = workload_graph(rng, 6, Mode.POSITIVE_ONLY, 12)
+        statuses |= assert_certifier_matches_reference(graph, [(Axiom.T, Axiom.M)])
+    assert statuses == set(CertificateStatus)
 
 
 def test_one_leaf_across_the_enumeration_answers_as_a_fresh_leaf():
@@ -151,3 +189,23 @@ def test_a_leaf_that_accepts_a_failing_preorder_is_caught(monkeypatch):
     monkeypatch.setattr(certify_module, "_leaf", lambda graph, axioms: lambda ranking: True)
     with pytest.raises(RuntimeError, match="leaf check"):
         certify(graph, [Axiom.T, Axiom.M])
+
+
+def test_the_m_clause_reads_each_profile_once(monkeypatch):
+    # The leaf's readers sort a profile on every read, so the M-type clause reads
+    # each of its four profiles once and passes them on past _social. Here every
+    # profile is (3,), so _social is false, no strict pair exists and M fails.
+    graph = parse_graph("mode combined\nx + u\ny + v\ny - u\nx - v\n")
+    ranking = Ranking.from_levels([["u"], ["v"], ["x", "y"]])
+    good, bad = (_Profiles(dict(zip(graph.nodes, side))) for side in graph._backers)
+    good.rank = bad.rank = ranking._ranks.__getitem__
+    reads = collections.Counter()
+    real = _Profiles.__getitem__
+
+    def counting(self, v):
+        reads["good" if self is good else "bad", v] += 1
+        return real(self, v)
+
+    monkeypatch.setattr(_Profiles, "__getitem__", counting)
+    assert _violates_m(ranking._ranks, good, bad, "u", "v")
+    assert reads == {("good", "u"): 1, ("good", "v"): 1, ("bad", "u"): 1, ("bad", "v"): 1}

@@ -150,6 +150,95 @@ def test_ranking_on_stdin_not_utf8_names_stdin_and_line(tmp_path, monkeypatch, c
     assert captured.err == "error: cannot read <stdin>: line 3: byte 0xe9 is not UTF-8\n"
 
 
+BOM = "\ufeff".encode()  # the byte-order mark Windows editors write at a UTF-8 file's start
+
+
+def _run_check(tmp_path, monkeypatch, capsys, graph: bytes, ranking: bytes, stdin: str | None):
+    """``check`` on the two inputs, the one named by ``stdin`` read from stdin."""
+    args = ["check", _write_bytes(tmp_path, "g", graph), _write_bytes(tmp_path, "r", ranking)]
+    if stdin is not None:
+        args[1 + (stdin == "ranking")] = "-"
+        monkeypatch.setattr("sys.stdin", _stdin(graph if stdin == "graph" else ranking))
+    code = main(args)
+    return code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("stdin", [None, "graph", "ranking"])
+@pytest.mark.parametrize("marked", ["graph", "ranking"])
+@pytest.mark.parametrize(
+    "ranking", ["a 1\nb 2\nc 3\nd 1\n", "a 1\nb 1\nc 1\nd 1\n"], ids=["levels", "tied"]
+)
+def test_a_leading_bom_reads_as_no_bom(tmp_path, monkeypatch, capsys, stdin, marked, ranking):
+    graph, ranking = TRIANGLE.encode(), ranking.encode()
+    expected = _run_check(tmp_path, monkeypatch, capsys, graph, ranking, stdin)
+    assert expected[0] in (0, 1) and expected[2] == ""
+    if marked == "graph":
+        graph = BOM + graph
+    else:
+        ranking = BOM + ranking
+    assert _run_check(tmp_path, monkeypatch, capsys, graph, ranking, stdin) == expected
+
+
+@pytest.mark.parametrize("stdin", [False, True])
+def test_rank_reads_a_graph_that_opens_with_a_bom(tmp_path, monkeypatch, capsys, stdin):
+    data = BOM + b"mode positive\na + b\n"
+    path = _write_bytes(tmp_path, "g", data)
+    if stdin:
+        monkeypatch.setattr("sys.stdin", _stdin(data))
+    assert main(["rank", "-" if stdin else path]) == 0
+    assert capsys.readouterr() == ("a 2\nb 1\n", "")
+
+
+@pytest.mark.parametrize(
+    "data, line, byte",
+    [
+        (BOM + b"mode positive\na + b\n\xff\n", 3, "0xff"),
+        (BOM + b"mode positive\r\na + b # caf\xe9\n", 2, "0xe9"),
+        (BOM + b"\xe9mode positive\n", 1, "0xe9"),
+        (BOM[:2] + b"mode positive\n", 1, "0xef"),  # half a BOM is not dropped
+    ],
+    ids=["line-3", "line-2", "line-1", "half-bom"],
+)
+@pytest.mark.parametrize("stdin", [False, True])
+def test_bad_byte_after_a_bom_is_reported_by_byte_and_line(
+    tmp_path, monkeypatch, capsys, data, line, byte, stdin
+):
+    # A decode error's offsets index the bytes after the BOM, not the whole input.
+    path = _write_bytes(tmp_path, "g", data)
+    if stdin:
+        monkeypatch.setattr("sys.stdin", _stdin(data))
+    assert main(["rank", "-" if stdin else path]) == 2
+    name = "<stdin>" if stdin else path
+    expected = f"error: cannot read {name}: line {line}: byte {byte} is not UTF-8\n"
+    assert capsys.readouterr() == ("", expected)
+
+
+GRAPH_AB, RANKING_AB = b"mode positive\na + b\n", b"a 1\nb 2\n"
+
+
+@pytest.mark.parametrize(
+    "graph, ranking, message",
+    [
+        (BOM + BOM + GRAPH_AB, RANKING_AB, "line 1: expected header"),
+        (b"mode positive\n" + BOM + b"a + b\n", RANKING_AB, "line 2: invalid node name '\\ufeffa'"),
+        (GRAPH_AB, b"a 1\n" + BOM + b"b 2\n", "line 2: invalid node name '\\ufeffb'"),
+        (GRAPH_AB, BOM + BOM + RANKING_AB, "line 1: invalid node name '\\ufeffa'"),
+    ],
+    ids=["second-bom-graph", "mid-graph", "mid-ranking", "second-bom-ranking"],
+)
+def test_a_bom_anywhere_but_the_start_is_still_refused(tmp_path, capsys, graph, ranking, message):
+    args = ["check", _write_bytes(tmp_path, "g", graph), _write_bytes(tmp_path, "r", ranking)]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}"), err
+
+
+def test_the_graph_parser_takes_no_bom():
+    # Only the CLI's reader drops one; parse_graph reads text, where U+FEFF is a character.
+    with pytest.raises(reprank.ParseError, match="line 1: expected header"):
+        parse_graph("\ufeff" + GRAPH_AB.decode())
+
+
 def test_closed_stdin_exits_2(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", None)  # what Python sets when fd 0 is closed
     assert main(["rank", "-"]) == 2
